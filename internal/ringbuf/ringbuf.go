@@ -44,15 +44,20 @@ func New(capacity int) *Ring {
 // Cap returns the ring's capacity.
 func (r *Ring) Cap() int { return len(r.buf) }
 
-// Len returns the number of entries currently buffered. head must be
-// loaded before tail: the consumer only moves head forward and the
-// producer only moves tail forward, so with this order a concurrent Pop
-// between the two loads can only make the result an underestimate, never
-// let head overtake the observed tail and underflow the subtraction.
+// Len returns the number of entries currently buffered. It reads head
+// between two loads of tail and retries until tail is unchanged: both
+// indices only grow, so an unchanged tail means the pair was the ring's
+// state at the instant head was read, when 0 <= tail-head <= Cap held.
+// Reading the two indices once each in either order is not enough: pushes
+// after a stale head overshoot Cap, pops after a stale tail underflow.
 func (r *Ring) Len() int {
-	head := r.head.Load()
-	tail := r.tail.Load()
-	return int(tail - head)
+	for {
+		tail := r.tail.Load()
+		head := r.head.Load()
+		if r.tail.Load() == tail {
+			return int(tail - head)
+		}
+	}
 }
 
 // Push appends v. It returns false (and counts a drop) if the ring is full.

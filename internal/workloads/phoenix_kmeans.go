@@ -95,15 +95,20 @@ func (w *KMeans) Run() error {
 	chargeFlops(w.proc, int64(w.Points)*int64(w.Clusters)*int64(w.Dims)*3)
 	w.Moved = 0
 	assignBuf := make([]byte, 8)
+	pt := make([]float64, w.Dims)
 	for i := 0; i < w.Points; i++ {
 		if err := readChunk(w.proc, w.points.Add(uint64(i)*rowBytes), row); err != nil {
 			return err
 		}
+		for j := range pt {
+			pt[j] = math.Float64frombits(u64At(row, j*8))
+		}
 		best, bestDist := 0, math.MaxFloat64
-		for c := 0; c < w.Clusters; c++ {
+		for c, cc := range cent {
+			cc = cc[:len(pt)]
 			var d2 float64
-			for j := 0; j < w.Dims; j++ {
-				x := math.Float64frombits(u64At(row, j*8)) - cent[c][j]
+			for j, p := range pt {
+				x := p - cc[j]
 				d2 += x * x
 			}
 			if d2 < bestDist {
@@ -121,8 +126,9 @@ func (w *KMeans) Run() error {
 				return err
 			}
 		}
-		for j := 0; j < w.Dims; j++ {
-			sums[best][j] += math.Float64frombits(u64At(row, j*8))
+		sum := sums[best][:len(pt)]
+		for j, p := range pt {
+			sum[j] += p
 		}
 		counts[best]++
 	}

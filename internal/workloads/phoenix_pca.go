@@ -22,6 +22,10 @@ type PCA struct {
 	cov   mem.GVA // Cols x Cols float64
 	ready bool
 
+	// cols is the host copy of the data matrix, column-major
+	// (cols[j*Rows+i]), kept across Runs so pre-copy rounds reuse it.
+	cols []float64
+
 	// Trace is the covariance trace after the last Run (verification).
 	Trace float64
 }
@@ -66,62 +70,78 @@ const covBand = 16
 
 // Run implements Workload: means pass, then banded covariance pass writing
 // every covariance row.
+//
+// The host side works on columns: each covariance entry is a contiguous
+// dot product of two centred columns, summed over rows in row order, and
+// the entry below the diagonal reuses its mirror (floating-point products
+// commute exactly). Every guest access, flop charge and written word is
+// the same as for the row-major textbook loop.
 func (w *PCA) Run() error {
 	if err := checkSetup(w.Name(), w.ready); err != nil {
 		return err
 	}
 	r, c := w.Rows, w.Cols
 	rowBytes := uint64(c) * 8
-	matrix := make([]float64, r*c)
+	if len(w.cols) != r*c {
+		w.cols = make([]float64, r*c)
+	}
+	cols := w.cols
 	row := make([]byte, rowBytes)
 	for i := 0; i < r; i++ {
 		if err := readChunk(w.proc, w.data.Add(uint64(i)*rowBytes), row); err != nil {
 			return err
 		}
 		for j := 0; j < c; j++ {
-			matrix[i*c+j] = math.Float64frombits(u64At(row, j*8))
+			cols[j*r+i] = math.Float64frombits(u64At(row, j*8))
 		}
 	}
-	// Mean vector.
-	means := make([]float64, c)
-	for i := 0; i < r; i++ {
-		for j := 0; j < c; j++ {
-			means[j] += matrix[i*c+j]
-		}
-	}
+	// Mean vector, then centre each column.
 	out := make([]byte, rowBytes)
 	for j := 0; j < c; j++ {
-		means[j] /= float64(r)
-		putU64(out, j*8, math.Float64bits(means[j]))
+		col := cols[j*r : j*r+r]
+		var m float64
+		for _, x := range col {
+			m += x
+		}
+		m /= float64(r)
+		for i := range col {
+			col[i] -= m
+		}
+		putU64(out, j*8, math.Float64bits(m))
 	}
 	if err := writeChunk(w.proc, w.means, out); err != nil {
 		return err
 	}
-	// Banded covariance, one written row per column.
+	// Banded covariance, one written row per column. band[j*(covBand+1)+d]
+	// holds entry (j, j+d).
 	chargeFlops(w.proc, int64(r)*int64(c)+int64(r)*int64(c)*(2*covBand+1)*3)
+	const bw = covBand + 1
+	band := make([]float64, c*bw)
+	for j := 0; j < c; j++ {
+		a := cols[j*r : j*r+r]
+		for k := j; k <= min(j+covBand, c-1); k++ {
+			b := cols[k*r : k*r+r]
+			var s float64
+			for i, x := range a {
+				s += x * b[i]
+			}
+			band[j*bw+k-j] = s / float64(r-1)
+		}
+	}
 	w.Trace = 0
 	for j := 0; j < c; j++ {
-		for k := 0; k < c; k++ {
-			putU64(out, k*8, 0)
-		}
-		lo, hi := j-covBand, j+covBand
-		if lo < 0 {
-			lo = 0
-		}
-		if hi >= c {
-			hi = c - 1
-		}
+		clear(out)
+		lo, hi := max(j-covBand, 0), min(j+covBand, c-1)
 		for k := lo; k <= hi; k++ {
 			var s float64
-			for i := 0; i < r; i++ {
-				s += (matrix[i*c+j] - means[j]) * (matrix[i*c+k] - means[k])
+			if k >= j {
+				s = band[j*bw+k-j]
+			} else {
+				s = band[k*bw+j-k]
 			}
-			s /= float64(r - 1)
 			putU64(out, k*8, math.Float64bits(s))
-			if k == j {
-				w.Trace += s
-			}
 		}
+		w.Trace += band[j*bw]
 		if err := writeChunk(w.proc, w.cov.Add(uint64(j)*rowBytes), out); err != nil {
 			return err
 		}
