@@ -193,30 +193,6 @@ func appendTrajectory(path, commit string, perf []experiments.BenchPerf, tol flo
 	return err
 }
 
-// runForkBench measures the snapshot-fork fast path against the boot+warm
-// prefix it replaces (a 50 MiB micro working set, best of 5) and prints the
-// ratio; with -trajectory the result is appended as an ooh-trajectory/v1
-// line under the id "fork-vs-boot", where speedup_vs_uncached is the
-// boot+warm-to-fork wall-time ratio.
-func runForkBench(bf benchFlags) error {
-	const pages = 50 << 20 >> 12 // 50 MiB of 4 KiB pages
-	fb, err := experiments.MeasureForkSpeed(pages, bf.seed, 5)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("fork-vs-boot: boot+warm %v, fork %v, %.1fx (%d pages)\n",
-		time.Duration(fb.BootWarmNS).Round(time.Microsecond),
-		time.Duration(fb.ForkNS).Round(time.Microsecond),
-		fb.Speedup, fb.Pages)
-	if bf.trajectory != "" {
-		if err := appendTrajectory(bf.trajectory, bf.commit, []experiments.BenchPerf{fb.Perf()}, bf.trajTol); err != nil {
-			return err
-		}
-		fmt.Printf("trajectory: 1 line appended to %s\n", bf.trajectory)
-	}
-	return nil
-}
-
 // writeCapture bundles the run's observability planes into the -capture
 // directory: the ooh-bench/v1 report (with perf), the folded call-path
 // profile, an ooh-explain/v1 report built from whatever planes the run

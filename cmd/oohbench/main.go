@@ -57,8 +57,6 @@ type benchFlags struct {
 	trajTol    float64
 	commit     string
 	backend    string
-	coldBoot   bool
-	forkBench  bool
 	captureDir string
 }
 
@@ -91,8 +89,6 @@ func main() {
 	flag.Float64Var(&bf.trajTol, "trajectory-tolerance", -1, "fail (before appending) if a -perf result's pages/sec drops more than this fraction below the file's last line for the same experiment; -1 disables the gate")
 	flag.StringVar(&bf.commit, "commit", "", "commit id recorded in -trajectory lines")
 	flag.StringVar(&bf.backend, "backend", "", cliflags.BackendUsage())
-	flag.BoolVar(&bf.coldBoot, "coldboot", false, "disable the snapshot-fork fast path and re-run every boot+warm-up prefix (output is byte-identical either way; CI compares the two)")
-	flag.BoolVar(&bf.forkBench, "fork-bench", false, "measure the snapshot-fork fast path against the boot+warm prefix it replaces and exit (combine with -trajectory to record the result)")
 	flag.StringVar(&bf.captureDir, "capture", "", "write the run's full observability bundle (bench.json, profile.folded, explain.json, trajectory.jsonl) into this directory for oohdiff")
 	flag.Parse()
 
@@ -140,15 +136,11 @@ func run(bf benchFlags) (err error) {
 	if err := cliflags.ParseExplainPath(bf.explainTo); err != nil {
 		return err
 	}
-	if err := parseTrajectoryFlags(bf.trajectory, bf.perf || bf.forkBench); err != nil {
+	if err := parseTrajectoryFlags(bf.trajectory, bf.perf); err != nil {
 		return err
 	}
 	if err := parseTrajectoryTolerance(bf.trajTol, bf.trajectory); err != nil {
 		return err
-	}
-
-	if bf.forkBench {
-		return runForkBench(bf)
 	}
 
 	if bf.checkBench != "" {
@@ -175,7 +167,6 @@ func run(bf benchFlags) (err error) {
 	}
 
 	opt := benchOptions(bf.scale, bf.full, bf.workers, bf.seed, bf.faultSpec)
-	opt.ColdBoot = bf.coldBoot
 	// -capture bundles every observability plane, so it implies the
 	// metrics registry and the profiler even when no other flag asked.
 	var reg *metrics.Registry

@@ -13,9 +13,9 @@ import (
 var ErrNotQuiescent = errors.New("cpu: vCPU not quiescent for snapshot")
 
 // Snapshot is the vCPU's captured architectural state. Host-side caches
-// (software TLB, arming cache, buffer-frame caches, counter refs) are
-// performance artifacts, not state: Restore resets them and lets the
-// invalidation machinery rebuild them lazily. The observability handles
+// (software TLB, buffer-frame caches, counter refs) are performance
+// artifacts, not state: Restore resets them and lets the invalidation
+// machinery rebuild them lazily. The observability handles
 // (Tracer, Met, Prof, Mon, Inj) and the EPT/VMCS/Phys wiring are owned by
 // the embedding VM and are not captured here.
 type Snapshot struct {
@@ -58,14 +58,13 @@ func (v *VCPU) RestoreSnapshot(s *Snapshot) {
 }
 
 // ResetHostCaches drops every invalidation-contract cache: the software
-// TLB, the VMCS arming cache, the PML/EPML buffer-frame caches, and the
-// cached counter refs (which Counters.Restore/Reset detach). Correctness
-// never depends on calling this - each cache validates its own epoch or
-// generation - but a restore replaces the counter map wholesale, and the
-// hot-path refs must be re-resolved against the new map.
+// TLB, the PML/EPML buffer-frame caches, and the cached counter refs
+// (which Counters.Restore/Reset detach). Correctness never depends on
+// calling this - each cache validates its own epoch or generation - but a
+// restore replaces the counter map wholesale, and the hot-path refs must
+// be re-resolved against the new map.
 func (v *VCPU) ResetHostCaches() {
 	v.tlb.flush()
-	v.arm = armCache{}
 	v.pmlBuf = bufCache{}
 	v.epmlBuf = bufCache{}
 	v.ctr = hotCounters{}

@@ -6,13 +6,12 @@ import (
 	"repro/internal/mem"
 	"repro/internal/pgtable"
 	"repro/internal/simcache"
-	"repro/internal/vmcs"
 )
 
 // This file is the vCPU's host-side software TLB: a direct-mapped cache of
-// completed two-level walks, plus the cached VMCS arming state. Both exist
-// purely to make the simulator faster to *run*; they must never change what
-// it *computes*. The invalidation contract (see DESIGN.md):
+// completed two-level walks. It exists purely to make the simulator faster
+// to *run*; it must never change what it *computes*. The invalidation
+// contract (see DESIGN.md):
 //
 //   - Guest PT mutations need no explicit invalidation because entries
 //     cache a pgtable.Slot, not a PTE value: every hit re-reads the live
@@ -27,9 +26,6 @@ import (
 //     bump the EPT generation, which every hit compares. EPT flag *sets*
 //     by WalkWrite/WalkRead do not bump it: they only strengthen the
 //     cached eptDirty/eptAccessed bits, never weaken them.
-//   - VMCS vmwrites (root or guest mode) and shadow link/unlink bump the
-//     VMCS generation, which armState compares before trusting the cached
-//     PMLEnabled/epmlArmed pair.
 //
 // A hit is only taken when no architectural transition is possible: the
 // guest PTE is already Accessed+Dirty and the EPT entry already Dirty (for
@@ -218,35 +214,4 @@ func (v *VCPU) physWriteU64(c *bufCache, hpa mem.HPA, val uint64) error {
 		copy(v.Phys.Materialize(c.frame)[off:], b[:])
 	}
 	return nil
-}
-
-// armCache is the cached VMCS arming state consulted on every guest write.
-type armCache struct {
-	valid     bool
-	vmcsGen   uint64
-	shadow    *vmcs.VMCS
-	shadowGen uint64
-	pml       bool // VMCS.PMLEnabled()
-	epml      bool // epmlArmed()
-}
-
-// armState returns (PMLEnabled, epmlArmed), from the cache when no vmwrite
-// or shadow-link change happened since it was filled.
-func (v *VCPU) armState() (pml, epml bool, err error) {
-	if simcache.ArmCacheEnabled() && v.arm.valid &&
-		v.arm.vmcsGen == v.VMCS.Gen() && v.arm.shadow == v.VMCS.Shadow() &&
-		(v.arm.shadow == nil || v.arm.shadowGen == v.arm.shadow.Gen()) {
-		return v.arm.pml, v.arm.epml, nil
-	}
-	pml = v.VMCS.PMLEnabled()
-	epml, err = v.epmlArmed()
-	if err != nil {
-		return false, false, err
-	}
-	v.arm = armCache{valid: true, vmcsGen: v.VMCS.Gen(),
-		shadow: v.VMCS.Shadow(), pml: pml, epml: epml}
-	if v.arm.shadow != nil {
-		v.arm.shadowGen = v.arm.shadow.Gen()
-	}
-	return pml, epml, nil
 }

@@ -255,10 +255,10 @@ func TestTLBInvalidationOnAddressSpaceSwitch(t *testing.T) {
 	}
 }
 
-// TestArmCacheInvalidationOnGuestVMWrite proves the cached arming state
-// tracks guest-mode vmwrites through the shadow VMCS: disabling logging
-// stops EPML logs immediately, re-enabling resumes them.
-func TestArmCacheInvalidationOnGuestVMWrite(t *testing.T) {
+// TestGuestVMWriteTogglesEPML proves a guest-mode vmwrite through the
+// shadow VMCS takes effect on the very next write: disabling logging stops
+// EPML logs immediately, re-enabling resumes them.
+func TestGuestVMWriteTogglesEPML(t *testing.T) {
 	h := newHarness(t)
 	shadow := vmcs.New()
 	h.vcpu.VMCS.LinkShadow(shadow,
@@ -284,8 +284,8 @@ func TestArmCacheInvalidationOnGuestVMWrite(t *testing.T) {
 	if n := h.vcpu.Counters.Get(CtrEPMLLogs); n != 1 {
 		t.Fatalf("EPML logs = %d with logging armed, want 1", n)
 	}
-	// Guest disarms logging with an exit-free vmwrite; the cached arming
-	// state must notice via the shadow generation.
+	// Guest disarms logging with an exit-free vmwrite to the shadow VMCS;
+	// the next write's walk must see it.
 	if err := h.vcpu.GuestVMWrite(vmcs.FieldGuestPMLEnable, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -161,11 +161,9 @@ type VCPU struct {
 	// buffers); see KernelWriteGPA.
 	kernelMode bool
 
-	// tlb is the host-side software TLB and arm the cached VMCS arming
-	// state; both are invisible to the simulation (see tlb.go for the
-	// invalidation contract).
+	// tlb is the host-side software TLB, invisible to the simulation (see
+	// tlb.go for the invalidation contract).
 	tlb tlbState
-	arm armCache
 	// pmlBuf/epmlBuf cache the backing frames of the two log buffers so
 	// per-logged-page buffer writes skip PhysMem's lock (see physWriteU64).
 	pmlBuf  bufCache
@@ -556,7 +554,7 @@ func (v *VCPU) epmlLog(gva mem.GVA) error {
 		// a stale copy of it. The frame was demand-mapped when the buffer
 		// was armed, so a walk failure here cannot raise a fresh exit.
 		if _, eptDirtied, err := v.EPT.WalkWrite(v.epmlBufGPA); err == nil && eptDirtied {
-			if pml, _, err := v.armState(); err == nil && pml {
+			if v.VMCS.PMLEnabled() {
 				if err := v.pmlLog(v.epmlBufGPA.PageFloor()); err != nil {
 					return err
 				}
@@ -659,24 +657,22 @@ func (v *VCPU) walkForWrite(gva mem.GVA) (mem.HPA, error) {
 		// modify the page walk circuit to make the processor log the GVA").
 		guestDirtied := !pte.Dirty()
 		slot.OrFlags(pgtable.FlagAccessed | pgtable.FlagDirty)
-		pml, _, err := v.armState()
-		if err != nil {
-			return 0, err
-		}
-		if eptDirtied && pml {
+		if eptDirtied && v.VMCS.PMLEnabled() {
 			if err := v.pmlLog(gpa.PageFloor()); err != nil {
 				return 0, err
 			}
 		}
-		// Re-read the arming state after pmlLog: a PML-full drain writes
-		// the VMCS, which bumps its generation and refreshes the cache.
-		_, armed, err := v.armState()
-		if err != nil {
-			return 0, err
-		}
-		if guestDirtied && armed {
-			if err := v.epmlLog(gva.PageFloor()); err != nil {
+		// EPML arming is read after pmlLog: a PML-full drain writes the
+		// VMCS.
+		if guestDirtied {
+			armed, err := v.epmlArmed()
+			if err != nil {
 				return 0, err
+			}
+			if armed {
+				if err := v.epmlLog(gva.PageFloor()); err != nil {
+					return 0, err
+				}
 			}
 		}
 		v.tlbFill(gva, slot)

@@ -11,11 +11,11 @@ import (
 // checkCacheEquivalence runs one fully probed experiment twice - once with
 // every host-side acceleration cache enabled (the default) and once with
 // simcache.DisableAll - and asserts every output byte is identical. This
-// is the contract the software TLB, the reverse-map index, the cached
-// arming state and the workload memo all promise: they change how fast the
-// simulator runs, never what it computes.
+// is the contract the software TLB, the reverse-map index and the workload
+// memo all promise: they change how fast the simulator runs, never what it
+// computes.
 // unprobed lists experiments whose runners never attach the Options
-// probes to their machines (microbenchmark tables via runMicroWithCounts,
+// probes to their machines (Table IV's formula-validation cells,
 // scalability sweeps via runBoehmOn, the ablations); their outputs are
 // still compared byte-for-byte, but the trace stream is legitimately
 // empty.

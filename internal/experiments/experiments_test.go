@@ -20,7 +20,7 @@ func TestMicroShapeMatchesPaper(t *testing.T) {
 	const pages = 50 << 8 // 50 MB
 	results := make(map[costmodel.Technique]MicroResult)
 	for _, kind := range []costmodel.Technique{costmodel.Proc, costmodel.Ufd, costmodel.SPML, costmodel.EPML} {
-		r, err := runMicro(kind, pages, 1, probes{}, false)
+		r, err := runMicro(kind, pages, 1, probes{})
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -44,7 +44,7 @@ func TestMicroShapeMatchesPaper(t *testing.T) {
 
 // TestFig3ReverseMapDominates checks the Fig. 3 claim on one size.
 func TestFig3ReverseMapDominates(t *testing.T) {
-	r, err := runMicro(costmodel.SPML, 10<<8, 1, probes{}, false)
+	r, err := runMicro(costmodel.SPML, 10<<8, 1, probes{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestFig3ReverseMapDominates(t *testing.T) {
 func TestTable4FormulaAccuracy(t *testing.T) {
 	model := costmodel.Default()
 	for _, kind := range []costmodel.Technique{costmodel.Proc, costmodel.SPML, costmodel.EPML} {
-		r, err := runMicro(kind, 2048, 1, probes{}, false)
+		r, err := runMicro(kind, 2048, 1, probes{})
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}

@@ -19,7 +19,7 @@ func Fig3(opt Options) (*Result, error) {
 	ps := opt.newShards(len(sizes))
 	err := par.ForEach(len(sizes), opt.Workers, func(i int) error {
 		var err error
-		results[i], err = runMicro(costmodel.SPML, sizes[i]<<8, opt.Seed, ps.cell(i), opt.ColdBoot)
+		results[i], err = runMicro(costmodel.SPML, sizes[i]<<8, opt.Seed, ps.cell(i))
 		return err
 	})
 	ps.merge()
@@ -64,7 +64,7 @@ func Fig4(opt Options) (*Result, error) {
 	}
 	ps := opt.newShards(len(grid))
 	err := par.ForEach(len(grid), opt.Workers, func(i int) error {
-		r, err := runMicro(grid[i].kind, grid[i].mb<<8, opt.Seed, ps.cell(i), opt.ColdBoot)
+		r, err := runMicro(grid[i].kind, grid[i].mb<<8, opt.Seed, ps.cell(i))
 		grid[i].res = r
 		return err
 	})

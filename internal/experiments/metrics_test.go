@@ -20,7 +20,7 @@ func runObservedScenarios(t *testing.T, p probes) {
 	for _, kind := range []costmodel.Technique{
 		costmodel.Proc, costmodel.Ufd, costmodel.SPML, costmodel.EPML,
 	} {
-		if _, err := runMicro(kind, 4<<8, 1, p, false); err != nil {
+		if _, err := runMicro(kind, 4<<8, 1, p); err != nil {
 			t.Fatalf("runMicro(%v): %v", kind, err)
 		}
 	}
@@ -113,10 +113,10 @@ func TestMetricsDeterminism(t *testing.T) {
 	export := func() (string, string) {
 		reg := metrics.NewRegistry()
 		reg.NewSampler(250 * time.Microsecond)
-		if _, err := runMicro(costmodel.EPML, 10<<8, 3, probes{reg: reg}, false); err != nil {
+		if _, err := runMicro(costmodel.EPML, 10<<8, 3, probes{reg: reg}); err != nil {
 			t.Fatalf("runMicro: %v", err)
 		}
-		if _, err := runMicro(costmodel.SPML, 4<<8, 3, probes{reg: reg}, false); err != nil {
+		if _, err := runMicro(costmodel.SPML, 4<<8, 3, probes{reg: reg}); err != nil {
 			t.Fatalf("runMicro: %v", err)
 		}
 		snap := reg.Snapshot()
@@ -144,7 +144,7 @@ func TestMetricsDeterminism(t *testing.T) {
 	snapHasPoints := false
 	reg := metrics.NewRegistry()
 	reg.NewSampler(250 * time.Microsecond)
-	if _, err := runMicro(costmodel.EPML, 10<<8, 3, probes{reg: reg}, false); err != nil {
+	if _, err := runMicro(costmodel.EPML, 10<<8, 3, probes{reg: reg}); err != nil {
 		t.Fatalf("runMicro: %v", err)
 	}
 	for _, s := range reg.Snapshot().Series {

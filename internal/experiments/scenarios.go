@@ -69,12 +69,6 @@ type Options struct {
 	// barrier, so the alert timeline and estimator series are byte-
 	// identical at any Workers value.
 	Monitor *monitor.Monitor
-	// ColdBoot disables the snapshot-fork fast path: every grid cell boots
-	// and warms its own machine from scratch instead of forking a pooled
-	// copy-on-write snapshot of the warm image. Output is byte-identical
-	// either way - the fork-determinism CI leg pins this - so cold boots
-	// are only useful for debugging the fast path itself.
-	ColdBoot bool
 }
 
 // probes bundles the observation-plane attachments (tracer + metrics
@@ -89,6 +83,11 @@ type probes struct {
 
 func (o Options) probes() probes {
 	return probes{tr: o.Tracer, reg: o.Metrics, prof: o.Profiler, mon: o.Monitor}
+}
+
+// config is the machine.Config that attaches p's planes.
+func (p probes) config() machine.Config {
+	return machine.Config{Tracer: p.tr, Metrics: p.reg, Profiler: p.prof, Monitor: p.mon}
 }
 
 // DefaultSeed is the seed used when none was chosen (Seed == 0 and
@@ -165,26 +164,58 @@ func (r MicroResult) Slowdown() float64 {
 const microPasses = 3
 
 // runMicro executes the Listing-1 scenario under one technique and returns
-// the measured times and raw event counts. p's tracer and metrics registry
-// (either may be nil) observe the monitored run only - probes attach after
-// warm-up, so forked and cold-booted cells emit identical streams. cold
-// forces the boot+warm prefix to rerun instead of forking the pooled
-// snapshot (Options.ColdBoot; output is byte-identical either way).
-func runMicro(kind costmodel.Technique, pages int, seed uint64, p probes, cold bool) (MicroResult, error) {
+// the measured times and raw event counts. p's probes (any may be nil)
+// observe the monitored run only.
+func runMicro(kind costmodel.Technique, pages int, seed uint64, p probes) (MicroResult, error) {
 	res := MicroResult{Technique: kind, Pages: pages}
-
-	// Ideal run: same warmed machine, no tracking, no probes.
-	ideal, err := timeMicroPasses(pages, seed, cold)
+	// Ideal run: same warm-up, no tracking, no probes.
+	m, _, w, err := warmMicro(pages, seed, probes{})
 	if err != nil {
 		return res, err
 	}
-	res.Ideal = ideal
-
-	// Monitored run.
-	g, proc, w, err := warmMicro(pages, seed, p, cold)
+	ideal, err := timeMicroPasses(m.Guest(0), w)
 	if err != nil {
 		return res, err
 	}
+	m, proc, w, err := warmMicro(pages, seed, p)
+	if err != nil {
+		return res, err
+	}
+	return trackMicro(kind, ideal, m.Guest(0), proc, w)
+}
+
+// warmMicro boots a machine and runs the Listing-1 warm-up: spawn the
+// workload process, eagerly map and touch its array. p's probes attach
+// after the warm-up, so it is never observed.
+func warmMicro(pages int, seed uint64, p probes) (*machine.Machine, *guestos.Process, *workloads.ArrayParser, error) {
+	m, err := machine.New(machine.Config{})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	proc := m.Guest(0).Kernel.Spawn("micro")
+	w := workloads.NewArrayParser(pages)
+	if err := w.Setup(workloads.NewRegionAlloc(proc, true), sim.NewRNG(seed)); err != nil {
+		return nil, nil, nil, err
+	}
+	m.AttachProbes(p.config())
+	return m, proc, w, nil
+}
+
+// timeMicroPasses measures the unmonitored passes on a warmed machine.
+func timeMicroPasses(g *machine.Guest, w *workloads.ArrayParser) (time.Duration, error) {
+	start := g.Kernel.Clock.Nanos()
+	for pass := 0; pass < microPasses; pass++ {
+		if err := w.Run(); err != nil {
+			return 0, err
+		}
+	}
+	return time.Duration(g.Kernel.Clock.Nanos() - start), nil
+}
+
+// trackMicro is runMicro's monitored run on a warmed machine: initialize
+// kind over proc, make the passes, collect once and close.
+func trackMicro(kind costmodel.Technique, ideal time.Duration, g *machine.Guest, proc *guestos.Process, w *workloads.ArrayParser) (MicroResult, error) {
+	res := MicroResult{Technique: kind, Pages: w.Pages, Ideal: ideal}
 	tech, err := g.NewTechnique(kind, proc)
 	if err != nil {
 		return res, err
@@ -217,23 +248,6 @@ func runMicro(kind costmodel.Technique, pages int, seed uint64, p probes, cold b
 		return res, err
 	}
 	return res, nil
-}
-
-// timeMicroPasses measures the unmonitored passes on a warmed machine
-// (forked from the same pooled snapshot the monitored run uses, unless
-// cold).
-func timeMicroPasses(pages int, seed uint64, cold bool) (time.Duration, error) {
-	g, _, w, err := warmMicro(pages, seed, probes{}, cold)
-	if err != nil {
-		return 0, err
-	}
-	start := g.Kernel.Clock.Nanos()
-	for pass := 0; pass < microPasses; pass++ {
-		if err := w.Run(); err != nil {
-			return 0, err
-		}
-	}
-	return time.Duration(g.Kernel.Clock.Nanos() - start), nil
 }
 
 // countsFrom converts a counter delta into the formula engine's inputs.
@@ -312,7 +326,7 @@ func runCRIU(name string, size workloads.Size, scale int, kind costmodel.Techniq
 	}
 
 	// Monitored: same passes with a pre-copy checkpoint interleaved.
-	m, err := machine.New(machine.Config{Tracer: p.tr, Metrics: p.reg, Profiler: p.prof, Monitor: p.mon})
+	m, err := machine.New(p.config())
 	if err != nil {
 		return res, err
 	}
@@ -395,7 +409,7 @@ const boehmPasses = 4
 // no dirty technique), the paper's baseline. p's probes (either may be
 // nil) observe the run.
 func runBoehm(app string, size workloads.Size, scale int, kind costmodel.Technique, seed uint64, p probes) (BoehmResult, error) {
-	m, err := machine.New(machine.Config{Tracer: p.tr, Metrics: p.reg, Profiler: p.prof, Monitor: p.mon})
+	m, err := machine.New(p.config())
 	if err != nil {
 		return BoehmResult{App: app, Size: size, Technique: kind}, err
 	}

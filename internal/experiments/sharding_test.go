@@ -26,15 +26,6 @@ type observedRun struct {
 // worker count and captures every output byte.
 func runObserved(t *testing.T, id string, workers int, mask uint64) observedRun {
 	t.Helper()
-	return runObservedOpt(t, id, Options{Workers: workers, Seed: 11}, mask)
-}
-
-// runObservedOpt is runObserved with the full Options surface exposed (the
-// fork-determinism tests flip ColdBoot); opt's probe fields are overwritten
-// with the captured probes.
-func runObservedOpt(t *testing.T, id string, opt Options, mask uint64) observedRun {
-	t.Helper()
-	workers := opt.Workers
 	var traceBuf bytes.Buffer
 	tr := trace.New(trace.NewJSONLWriter(&traceBuf), 0)
 	tr.SetMask(mask)
@@ -42,8 +33,7 @@ func runObservedOpt(t *testing.T, id string, opt Options, mask uint64) observedR
 	reg.NewSampler(250 * time.Microsecond)
 	profiler := prof.New()
 
-	opt.Tracer, opt.Metrics, opt.Profiler = tr, reg, profiler
-	res, err := Run(id, opt)
+	res, err := Run(id, Options{Workers: workers, Seed: 11, Tracer: tr, Metrics: reg, Profiler: profiler})
 	if err != nil {
 		t.Fatalf("%s (workers=%d): %v", id, workers, err)
 	}

@@ -47,7 +47,7 @@ func Table1(opt Options) (*Result, error) {
 	ps := opt.newShards(len(grid))
 	err := par.ForEach(len(grid), opt.Workers, func(i int) error {
 		pages := grid[i].mb << 8 // 1 MiB = 256 pages
-		r, err := runMicro(grid[i].kind, pages, opt.Seed, ps.cell(i), opt.ColdBoot)
+		r, err := runMicro(grid[i].kind, pages, opt.Seed, ps.cell(i))
 		grid[i].res = r
 		return err
 	})
@@ -128,7 +128,10 @@ func Table4(opt Options) (*Result, error) {
 		"E(C_tked_tker) meas", "E(C_tked_tker) est", "acc (%)")
 
 	for _, kind := range []costmodel.Technique{costmodel.SPML, costmodel.Proc, costmodel.EPML} {
-		mr, err := runMicroWithCounts(kind, 4096*opt.Scale, opt.Seed, opt.ColdBoot)
+		// The array parser stands in for the baby workload's access
+		// pattern: the counts, not the pattern, feed the formulas, and the
+		// parser gives deterministic counts.
+		mr, err := runMicro(kind, 4096*opt.Scale, opt.Seed, probes{})
 		if err != nil {
 			return nil, err
 		}
@@ -148,13 +151,6 @@ func Table4(opt Options) (*Result, error) {
 	}
 	out.AddNote("paper reports 96.34%% / 99%% average accuracy for Formulas 2 and 4")
 	return &Result{ID: "table4", Title: "Table IV: formula validation", Tables: []*report.Table{out}}, nil
-}
-
-// runMicroWithCounts is runMicro with the baby workload's access pattern
-// replaced by the array parser (the counts, not the pattern, feed the
-// formulas; the parser gives deterministic counts).
-func runMicroWithCounts(kind costmodel.Technique, pages int, seed uint64, cold bool) (MicroResult, error) {
-	return runMicro(kind, pages, seed, probes{}, cold)
 }
 
 // Table5 regenerates Table V: the basic costs of metrics M1-M18, constant

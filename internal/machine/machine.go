@@ -182,11 +182,11 @@ func wireGuestProbes(svm *hypervisor.VM, cfg Config, reg *metrics.Registry, i in
 }
 
 // AttachProbes rewires every guest's observability planes to cfg's Tracer,
-// Faults, Metrics, Profiler and Monitor, exactly as New would have. It
-// exists for the forked-sweep contract: an experiment cell warms (or forks)
-// a machine with the planes detached and attaches its per-cell shard
-// afterwards, so cold-booted and forked runs observe identical streams -
-// neither sees the warm-up phase. Only the probe fields change; clocks,
+// Faults, Metrics, Profiler and Monitor, exactly as New would have. An
+// experiment cell warms a machine with the planes detached and attaches
+// its per-cell shard afterwards, so the warm-up phase is never observed -
+// exactly what a Fork of a warm snapshot sees with the same planes in its
+// Config. Only the probe fields change; clocks,
 // kernels and memory are untouched.
 func (m *Machine) AttachProbes(cfg Config) {
 	reg := cfg.Metrics

@@ -50,9 +50,9 @@ func (w *ArrayParser) Setup(alloc Allocator, rng *sim.RNG) error {
 }
 
 // Adopt binds w to a process whose memory already holds the image a
-// previous Setup produced - the snapshot-fork fast path: the forked guest
-// replays the warmed array, so only the host-side binding (process handle,
-// region, rewound pass counter) needs rebuilding. region must be the
+// previous Setup produced - a fork of a warmed machine snapshot: the
+// forked guest replays the warmed array, so only the host-side binding
+// (process handle, region, rewound pass counter) needs rebuilding. region must be the
 // Region() of the workload that warmed the capture source.
 func (w *ArrayParser) Adopt(proc *guestos.Process, region guestos.Region) {
 	w.proc = proc
