@@ -171,3 +171,16 @@ func TestForkDeterminism(t *testing.T) {
 		})
 	}
 }
+
+// TestForkedMicroMatchesColdBoot pins the determinism contract at the cell
+// level off the default grid: at 6 MiB and seed 17, each technique's
+// micro cell forked from one warm snapshot reports exactly what the same
+// cell reports after a cold boot and warm-up - every virtual time,
+// counter, breakdown field, trace byte and metrics byte.
+func TestForkedMicroMatchesColdBoot(t *testing.T) {
+	const pages, seed = 6 << 8, 17
+	fork := forkEnter(t, pages, seed)
+	for _, kind := range []costmodel.Technique{costmodel.Proc, costmodel.Ufd, costmodel.SPML, costmodel.EPML} {
+		checkForkMatchesCold(t, kind, pages, seed, fork)
+	}
+}
