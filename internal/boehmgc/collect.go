@@ -39,13 +39,10 @@ func (g *GC) StartIncremental() error {
 // unmodified old objects from the cached shadow graph.
 func (g *GC) Collect() (CycleStats, error) {
 	stats := CycleStats{Cycle: len(g.cycles) + 1}
-	tr, ev := g.Proc.Kernel().VCPU.Tracer, g.Proc.Kernel().VCPU.Met
-	var cycleStart int64
-	if tr != nil || ev != nil {
-		cycleStart = g.clock.Nanos()
-	}
+	v := g.Proc.Kernel().VCPU
+	cycleStart := g.clock.Nanos()
 	total := sim.StartWatch(g.clock)
-	tap := g.Proc.Kernel().VCPU.Prof
+	tap := v.Prof
 	cySp := tap.Begin(prof.SubGC, "cycle")
 	defer cySp.End()
 
@@ -108,18 +105,10 @@ func (g *GC) Collect() (CycleStats, error) {
 	}
 	markSp.End()
 	stats.MarkTime = mark.Elapsed()
-	if tr.Enabled(trace.KindGCMark) {
-		tr.Emit(trace.Record{Kind: trace.KindGCMark, VM: int32(g.Proc.Kernel().VCPU.ID),
-			TS: g.clock.Nanos() - int64(stats.MarkTime), Cost: int64(stats.MarkTime),
-			Arg: int64(stats.Scanned)})
-	}
-	ev.Observe(trace.KindGCMark, g.clock.Nanos(), int64(stats.MarkTime), int64(stats.Scanned))
+	v.Event(trace.KindGCMark, g.clock.Nanos()-int64(stats.MarkTime), int64(stats.MarkTime), 0, int64(stats.Scanned))
 
 	// --- sweep phase ------------------------------------------------------
-	var sweepStart int64
-	if tr != nil || ev != nil {
-		sweepStart = g.clock.Nanos()
-	}
+	sweepStart := g.clock.Nanos()
 	sweep := sim.StartWatch(g.clock)
 	sweepSp := tap.Begin(prof.SubGC, "sweep")
 	dead := g.dead[:0]
@@ -145,11 +134,7 @@ func (g *GC) Collect() (CycleStats, error) {
 	stats.SweepTime = sweep.Elapsed()
 	stats.Freed = len(dead)
 	stats.Live = len(marked)
-	if tr.Enabled(trace.KindGCSweep) {
-		tr.Emit(trace.Record{Kind: trace.KindGCSweep, VM: int32(g.Proc.Kernel().VCPU.ID),
-			TS: sweepStart, Cost: g.clock.Nanos() - sweepStart, Arg: int64(stats.Freed)})
-	}
-	ev.Observe(trace.KindGCSweep, g.clock.Nanos(), g.clock.Nanos()-sweepStart, int64(stats.Freed))
+	v.Event(trace.KindGCSweep, sweepStart, g.clock.Nanos()-sweepStart, 0, int64(stats.Freed))
 
 	// Re-arm the dirty tracker for the next incremental cycle.
 	if g.Tech != nil && !g.tracking {
@@ -162,11 +147,7 @@ func (g *GC) Collect() (CycleStats, error) {
 
 	stats.Total = total.Elapsed()
 	g.cycles = append(g.cycles, stats)
-	if tr.Enabled(trace.KindGCCycle) {
-		tr.Emit(trace.Record{Kind: trace.KindGCCycle, VM: int32(g.Proc.Kernel().VCPU.ID),
-			TS: cycleStart, Cost: g.clock.Nanos() - cycleStart, Arg: int64(stats.Cycle)})
-	}
-	ev.Observe(trace.KindGCCycle, g.clock.Nanos(), g.clock.Nanos()-cycleStart, int64(stats.Cycle))
+	v.Event(trace.KindGCCycle, cycleStart, g.clock.Nanos()-cycleStart, 0, int64(stats.Cycle))
 	return stats, nil
 }
 

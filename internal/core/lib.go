@@ -103,7 +103,6 @@ func (s *Session) Fetch() ([]mem.GVA, error) {
 		if _, err := k.VCPU.Hypercall(hypervisor.HCDrainRing, uint64(s.pid)); err != nil {
 			return nil, err
 		}
-		tr, ev := k.VCPU.Tracer, k.VCPU.Met
 		sp := k.VCPU.Prof.Begin(prof.SubCore, "ring_copy")
 		w := startSpan(clock)
 		raw := s.s.ring.Drain(nil)
@@ -111,11 +110,7 @@ func (s *Session) Fetch() ([]mem.GVA, error) {
 		clock.Advance(perEntry * time.Duration(len(raw)))
 		s.LastBreakdown.RingCopy = w.stop()
 		sp.End()
-		if tr.Enabled(trace.KindRingCopy) {
-			tr.Emit(trace.Record{Kind: trace.KindRingCopy, VM: int32(k.VCPU.ID), TS: w.start,
-				Cost: int64(s.LastBreakdown.RingCopy), Arg: int64(len(raw))})
-		}
-		ev.Observe(trace.KindRingCopy, clock.Nanos(), int64(s.LastBreakdown.RingCopy), int64(len(raw)))
+		k.VCPU.Event(trace.KindRingCopy, w.start, int64(s.LastBreakdown.RingCopy), 0, int64(len(raw)))
 
 		if len(raw) == 0 {
 			return nil, nil
@@ -153,11 +148,7 @@ func (s *Session) Fetch() ([]mem.GVA, error) {
 				}
 			}
 			s.LastBreakdown.PTWalk = w.stop()
-			if tr.Enabled(trace.KindPTWalk) {
-				tr.Emit(trace.Record{Kind: trace.KindPTWalk, VM: int32(k.VCPU.ID), TS: w.start,
-					Cost: int64(s.LastBreakdown.PTWalk), Arg: int64(len(entries))})
-			}
-			ev.Observe(trace.KindPTWalk, clock.Nanos(), int64(s.LastBreakdown.PTWalk), int64(len(entries)))
+			k.VCPU.Event(trace.KindPTWalk, w.start, int64(s.LastBreakdown.PTWalk), 0, int64(len(entries)))
 			s.revIndex = index
 			sp.End()
 			lookup = func(gpa mem.GPA) (mem.GVA, bool) {
@@ -173,11 +164,7 @@ func (s *Session) Fetch() ([]mem.GVA, error) {
 				return nil, err
 			}
 			s.LastBreakdown.PTWalk = w.stop()
-			if tr.Enabled(trace.KindPTWalk) {
-				tr.Emit(trace.Record{Kind: trace.KindPTWalk, VM: int32(k.VCPU.ID), TS: w.start,
-					Cost: int64(s.LastBreakdown.PTWalk), Arg: int64(pages)})
-			}
-			ev.Observe(trace.KindPTWalk, clock.Nanos(), int64(s.LastBreakdown.PTWalk), int64(pages))
+			k.VCPU.Event(trace.KindPTWalk, w.start, int64(s.LastBreakdown.PTWalk), 0, int64(pages))
 			sp.End()
 			pt := s.s.proc.PT
 			lookup = func(gpa mem.GPA) (mem.GVA, bool) {
@@ -209,11 +196,7 @@ func (s *Session) Fetch() ([]mem.GVA, error) {
 		s.LastBreakdown.ReverseMap = w.stop()
 		rmSp.End()
 		s.LastBreakdown.Entries = len(out)
-		if tr.Enabled(trace.KindReverseMap) {
-			tr.Emit(trace.Record{Kind: trace.KindReverseMap, VM: int32(k.VCPU.ID), TS: w.start,
-				Cost: int64(s.LastBreakdown.ReverseMap), Arg: int64(len(out))})
-		}
-		ev.Observe(trace.KindReverseMap, clock.Nanos(), int64(s.LastBreakdown.ReverseMap), int64(len(out)))
+		k.VCPU.Event(trace.KindReverseMap, w.start, int64(s.LastBreakdown.ReverseMap), 0, int64(len(out)))
 		return out, nil
 
 	case ModeEPML:
@@ -250,11 +233,7 @@ func (s *Session) Fetch() ([]mem.GVA, error) {
 		s.LastBreakdown.RingCopy = w.stop()
 		sp.End()
 		s.LastBreakdown.Entries = len(out)
-		if tr := k.VCPU.Tracer; tr.Enabled(trace.KindRingCopy) {
-			tr.Emit(trace.Record{Kind: trace.KindRingCopy, VM: int32(k.VCPU.ID), TS: w.start,
-				Cost: int64(s.LastBreakdown.RingCopy), Arg: int64(len(raw))})
-		}
-		k.VCPU.Met.Observe(trace.KindRingCopy, clock.Nanos(), int64(s.LastBreakdown.RingCopy), int64(len(raw)))
+		k.VCPU.Event(trace.KindRingCopy, w.start, int64(s.LastBreakdown.RingCopy), 0, int64(len(raw)))
 		return out, nil
 	}
 	return nil, fmt.Errorf("core: unknown mode %v", mod.Mode)

@@ -106,10 +106,10 @@ type VCPU struct {
 
 	// Met, when non-nil, aggregates the same per-event observations the
 	// Tracer records into the metrics registry: per-kind counters, cost
-	// histograms and sampled time-series. Every site that emits a trace
-	// record also observes it here with identical (kind, cost, arg), which
-	// is what makes registry counters equal trace.Summarize counts on the
-	// same run. Like Tracer, a nil bridge costs one branch per site.
+	// histograms and sampled time-series. Event hands both planes the
+	// identical (kind, cost, arg), which is what makes registry counters
+	// equal trace.Summarize counts on the same run. Like Tracer, a nil
+	// bridge costs one branch per site.
 	Met *metrics.Events
 
 	// Prof, when non-nil, is the span-profiler tap for this vCPU's
@@ -120,11 +120,11 @@ type VCPU struct {
 	// at zero cost.
 	Prof *prof.Tap
 
-	// Mon, when non-nil, is the online monitor plane. The vCPU itself only
-	// carries the handle: event-stream feeds arrive through Met's observer
-	// hook, and the checkpoint/migration drivers call Mon.Round at each
-	// pre-copy round boundary. Like the other planes it only observes and
-	// is single-goroutine; nil disables monitoring at zero cost.
+	// Mon, when non-nil, is the online monitor plane. Event feeds it every
+	// event after Met, and the checkpoint/migration drivers call Mon.Round
+	// at each pre-copy round boundary. Like the other planes it only
+	// observes and is single-goroutine; nil disables monitoring at zero
+	// cost.
 	Mon *monitor.Monitor
 
 	// EPMLVector is the self-IPI vector raised when the guest-level PML
@@ -270,11 +270,7 @@ func (v *VCPU) exit(e *Exit) (uint64, error) {
 		return 0, fmt.Errorf("cpu: unhandled vmexit %v", e.Reason)
 	}
 	v.inc(&v.ctr.vmexits, CtrVMExits)
-	tr, ev := v.Tracer, v.Met
-	var start int64
-	if tr != nil || ev != nil {
-		start = v.Clock.Nanos()
-	}
+	start := v.Clock.Nanos()
 	sp := v.Prof.Begin(prof.SubCPU, exitOp(e))
 	v.Clock.Advance(v.Costs.VMExit)
 	prev := v.mode
@@ -283,20 +279,31 @@ func (v *VCPU) exit(e *Exit) (uint64, error) {
 	v.mode = prev
 	v.Clock.Advance(v.Costs.VMEntry)
 	sp.End()
-	if tr != nil || ev != nil {
-		k, arg := exitTrace(e)
-		now := v.Clock.Nanos()
-		if tr.Enabled(k) {
-			tr.Emit(trace.Record{
-				Kind: k, VM: int32(v.ID), TS: start,
-				Cost: now - start,
-				Addr: uint64(e.GPA), Arg: arg,
-			})
-		}
-		ev.Observe(k, now, now-start, arg)
-		ev.Count(metrics.SubCPU, "vmexits_by_reason", e.Reason.String(), 1)
-	}
+	k, arg := exitTrace(e)
+	v.Event(k, start, v.Clock.Nanos()-start, uint64(e.GPA), arg)
+	v.Met.Count(metrics.SubCPU, "vmexits_by_reason", e.Reason.String(), 1)
 	return ret, err
+}
+
+// Event reports one event of kind k to every attached observability
+// plane, in a fixed order: the trace record (when the tracer's mask admits
+// k), the metrics bridge (counters, cost histogram and the sampler tick
+// at the current virtual time), then the monitor's estimators. ts is the
+// event's start, cost its virtual duration, addr and arg its detail (see
+// the trace kind's comment). Every instrumented layer reports through
+// this one call, which is what keeps the planes' per-kind counts, costs
+// and args equal. It only observes - the clock never advances - and is
+// nil-receiver safe; with no plane attached it costs one branch.
+func (v *VCPU) Event(k trace.Kind, ts, cost int64, addr uint64, arg int64) {
+	if v == nil || (v.Tracer == nil && v.Met == nil && v.Mon == nil) {
+		return
+	}
+	if v.Tracer.Enabled(k) {
+		v.Tracer.Emit(trace.Record{Kind: k, VM: int32(v.ID), TS: ts, Cost: cost, Addr: addr, Arg: arg})
+	}
+	now := v.Clock.Nanos()
+	v.Met.Observe(k, now, cost, arg)
+	v.Mon.ObserveKind(int32(v.ID), k, now, cost, arg)
 }
 
 // exitTrace maps a vmexit to its trace kind and detail argument: hypercalls
@@ -340,15 +347,8 @@ func (v *VCPU) Hypercall(nr int, args ...uint64) (uint64, error) {
 // is instantaneous - recovery time is charged, and traced, where recovery
 // happens.
 func (v *VCPU) FaultRecord(p faults.Point, addr uint64) {
-	now := v.Clock.Nanos()
-	if tr := v.Tracer; tr.Enabled(trace.KindFault) {
-		tr.Emit(trace.Record{Kind: trace.KindFault, VM: int32(v.ID),
-			TS: now, Addr: addr, Arg: int64(p)})
-	}
-	if ev := v.Met; ev != nil {
-		ev.Observe(trace.KindFault, now, 0, int64(p))
-		ev.Count(metrics.SubFaults, "injections", p.String(), 1)
-	}
+	v.Event(trace.KindFault, v.Clock.Nanos(), 0, addr, int64(p))
+	v.Met.Count(metrics.SubFaults, "injections", p.String(), 1)
 }
 
 // --- guest-mode VMCS access -------------------------------------------------
@@ -451,23 +451,12 @@ func (v *VCPU) pmlLog(gpa mem.GPA) error {
 		}
 		v.inc(&v.ctr.pmlLogs, CtrPMLLogs)
 		v.Clock.Advance(v.Costs.PMLLog)
-		if tr, ev := v.Tracer, v.Met; tr != nil || ev != nil {
-			now := v.Clock.Nanos()
-			if tr.Enabled(trace.KindPMLLog) {
-				tr.Emit(trace.Record{
-					Kind: trace.KindPMLLog, VM: int32(v.ID),
-					TS:   now - int64(v.Costs.PMLLog),
-					Cost: int64(v.Costs.PMLLog), Addr: uint64(gpa),
-				})
-			}
-			if ev != nil {
-				ev.Observe(trace.KindPMLLog, now, int64(v.Costs.PMLLog), 0)
-				// Entries logged since the last drain: the index counts down
-				// from PMLResetIndex, so occupancy is the distance walked.
-				ev.SetGauge(metrics.SubCPU, "pml_buffer_occupancy", "",
-					int64(vmcs.PMLResetIndex-idx)+1)
-			}
-		}
+		cost := int64(v.Costs.PMLLog)
+		v.Event(trace.KindPMLLog, v.Clock.Nanos()-cost, cost, uint64(gpa), 0)
+		// Entries logged since the last drain: the index counts down from
+		// PMLResetIndex, so occupancy is the distance walked.
+		v.Met.SetGauge(metrics.SubCPU, "pml_buffer_occupancy", "",
+			int64(vmcs.PMLResetIndex-idx)+1)
 		return nil
 	}
 }
@@ -507,34 +496,23 @@ func (v *VCPU) epmlLog(gva mem.GVA) error {
 				return nil
 			}
 			v.Counters.Inc(CtrEPMLFullIRQs)
-			tr, ev := v.Tracer, v.Met
-			var start int64
-			if tr != nil || ev != nil {
-				start = v.Clock.Nanos()
-			}
+			start := v.Clock.Nanos()
 			irqSp := v.Prof.Begin(prof.SubCPU, "epml_full_irq")
 			v.Clock.Advance(v.Costs.IRQDeliver)
 			if v.IRQ == nil {
 				return errors.New("cpu: EPML buffer full with no IRQ sink")
 			}
-			ev.Count(metrics.SubCPU, "posted_ipis", "", 1)
+			v.Met.Count(metrics.SubCPU, "posted_ipis", "", 1)
 			v.IRQ.DeliverIRQ(v.EPMLVector)
 			if v.Inj.Fire(faults.IPIDup) {
 				// The posted interrupt arrives twice; the second delivery
 				// must find an empty buffer and do no harm.
 				v.FaultRecord(faults.IPIDup, uint64(gva))
 				v.Clock.Advance(v.Costs.IRQDeliver)
-				ev.Count(metrics.SubCPU, "posted_ipis", "", 1)
+				v.Met.Count(metrics.SubCPU, "posted_ipis", "", 1)
 				v.IRQ.DeliverIRQ(v.EPMLVector)
 			}
-			now := v.Clock.Nanos()
-			if tr.Enabled(trace.KindEPMLFullIRQ) {
-				tr.Emit(trace.Record{
-					Kind: trace.KindEPMLFullIRQ, VM: int32(v.ID), TS: start,
-					Cost: now - start, Arg: int64(v.EPMLVector),
-				})
-			}
-			ev.Observe(trace.KindEPMLFullIRQ, now, now-start, int64(v.EPMLVector))
+			v.Event(trace.KindEPMLFullIRQ, start, v.Clock.Nanos()-start, 0, int64(v.EPMLVector))
 			irqSp.End()
 			continue
 		}
@@ -565,21 +543,10 @@ func (v *VCPU) epmlLog(gva mem.GVA) error {
 		}
 		v.inc(&v.ctr.epmlLogs, CtrEPMLLogs)
 		v.Clock.Advance(v.Costs.PMLLog)
-		if tr, ev := v.Tracer, v.Met; tr != nil || ev != nil {
-			now := v.Clock.Nanos()
-			if tr.Enabled(trace.KindEPMLLog) {
-				tr.Emit(trace.Record{
-					Kind: trace.KindEPMLLog, VM: int32(v.ID),
-					TS:   now - int64(v.Costs.PMLLog),
-					Cost: int64(v.Costs.PMLLog), Addr: uint64(gva),
-				})
-			}
-			if ev != nil {
-				ev.Observe(trace.KindEPMLLog, now, int64(v.Costs.PMLLog), 0)
-				ev.SetGauge(metrics.SubCPU, "pml_buffer_occupancy", "guest",
-					int64(vmcs.PMLResetIndex-idx)+1)
-			}
-		}
+		cost := int64(v.Costs.PMLLog)
+		v.Event(trace.KindEPMLLog, v.Clock.Nanos()-cost, cost, uint64(gva), 0)
+		v.Met.SetGauge(metrics.SubCPU, "pml_buffer_occupancy", "guest",
+			int64(vmcs.PMLResetIndex-idx)+1)
 		return nil
 	}
 }
@@ -624,22 +591,11 @@ func (v *VCPU) walkForWrite(gva mem.GVA) (mem.HPA, error) {
 			if v.SPPViolation == nil {
 				return 0, fmt.Errorf("cpu: unhandled SPP violation at %v", gva)
 			}
-			tr, ev := v.Tracer, v.Met
-			var start int64
-			if tr != nil || ev != nil {
-				start = v.Clock.Nanos()
-			}
+			start := v.Clock.Nanos()
 			if err := v.SPPViolation(gva, gpa); err != nil {
 				return 0, err
 			}
-			now := v.Clock.Nanos()
-			if tr.Enabled(trace.KindSPPViolation) {
-				tr.Emit(trace.Record{
-					Kind: trace.KindSPPViolation, VM: int32(v.ID), TS: start,
-					Cost: now - start, Addr: uint64(gva),
-				})
-			}
-			ev.Observe(trace.KindSPPViolation, now, now-start, 0)
+			v.Event(trace.KindSPPViolation, start, v.Clock.Nanos()-start, uint64(gva), 0)
 			continue
 		}
 		hpa, eptDirtied, err := v.EPT.WalkWrite(gpa)
@@ -686,11 +642,7 @@ func (v *VCPU) walkForWrite(gva mem.GVA) (mem.HPA, error) {
 // recording the full service span (the envelope around the narrower
 // demand/soft-dirty/ufd kinds the kernel emits).
 func (v *VCPU) tracedFault(gva mem.GVA, write bool) error {
-	tr, ev := v.Tracer, v.Met
-	var start int64
-	if tr != nil || ev != nil {
-		start = v.Clock.Nanos()
-	}
+	start := v.Clock.Nanos()
 	sp := v.Prof.Begin(prof.SubCPU, "guest_pf")
 	if err := v.Fault.HandlePageFault(v, gva, write); err != nil {
 		sp.End()
@@ -701,14 +653,7 @@ func (v *VCPU) tracedFault(gva mem.GVA, write bool) error {
 	if write {
 		arg = 1
 	}
-	now := v.Clock.Nanos()
-	if tr.Enabled(trace.KindGuestPF) {
-		tr.Emit(trace.Record{
-			Kind: trace.KindGuestPF, VM: int32(v.ID), TS: start,
-			Cost: now - start, Addr: uint64(gva), Arg: arg,
-		})
-	}
-	ev.Observe(trace.KindGuestPF, now, now-start, arg)
+	v.Event(trace.KindGuestPF, start, v.Clock.Nanos()-start, uint64(gva), arg)
 	return nil
 }
 

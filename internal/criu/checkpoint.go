@@ -264,12 +264,9 @@ func (c *Checkpointer) estimatedDowntime(n int) time.Duration {
 // (paper §VI-F: "with SPML and EPML it first collects all dirty pages from
 // the ring buffer and then writes them").
 func (c *Checkpointer) collect(stats *Stats) ([]mem.GVA, error) {
-	tr, ev := c.Proc.Kernel().VCPU.Tracer, c.Proc.Kernel().VCPU.Met
-	var start int64
-	if tr != nil || ev != nil {
-		start = c.clock.Nanos()
-	}
-	sp := c.Proc.Kernel().VCPU.Prof.Begin(prof.SubCRIU, "collect")
+	v := c.Proc.Kernel().VCPU
+	start := c.clock.Nanos()
+	sp := v.Prof.Begin(prof.SubCRIU, "collect")
 	defer sp.End()
 	w := sim.StartWatch(c.clock)
 	// A transient collection failure is retried a bounded number of times
@@ -279,7 +276,7 @@ func (c *Checkpointer) collect(stats *Stats) ([]mem.GVA, error) {
 	backoff := c.Opts.CollectBackoff
 	for retry := 0; err != nil && errors.Is(err, faults.ErrTransient) && retry < c.Opts.MaxCollectRetries; retry++ {
 		stats.CollectRetries++
-		ev.Count(metrics.SubCRIU, "collect_retries_total", "", 1)
+		v.Met.Count(metrics.SubCRIU, "collect_retries_total", "", 1)
 		c.clock.Advance(backoff)
 		backoff *= 2
 		dirty, err = c.Tech.Collect()
@@ -294,22 +291,13 @@ func (c *Checkpointer) collect(stats *Stats) ([]mem.GVA, error) {
 	} else {
 		stats.MD += w.Elapsed()
 	}
-	now := c.clock.Nanos()
-	if tr.Enabled(kind) {
-		tr.Emit(trace.Record{Kind: kind, VM: int32(c.Proc.Kernel().VCPU.ID), TS: start,
-			Cost: now - start, Arg: int64(len(dirty))})
-	}
-	ev.Observe(kind, now, now-start, int64(len(dirty)))
+	v.Event(kind, start, c.clock.Nanos()-start, 0, int64(len(dirty)))
 	return dirty, nil
 }
 
 // dumpRound reads and writes one round's pages into the image.
 func (c *Checkpointer) dumpRound(img *Image, stats *Stats, pages []mem.GVA) error {
-	tr, ev := c.Proc.Kernel().VCPU.Tracer, c.Proc.Kernel().VCPU.Met
-	var start int64
-	if tr != nil || ev != nil {
-		start = c.clock.Nanos()
-	}
+	start := c.clock.Nanos()
 	sp := c.Proc.Kernel().VCPU.Prof.Begin(prof.SubCRIU, "dump")
 	defer sp.End()
 	w := sim.StartWatch(c.clock)
@@ -334,12 +322,7 @@ func (c *Checkpointer) dumpRound(img *Image, stats *Stats, pages []mem.GVA) erro
 	stats.Rounds++
 	stats.PagesPer = append(stats.PagesPer, n)
 	stats.Dumped += n
-	now := c.clock.Nanos()
-	if tr.Enabled(trace.KindCRIUMW) {
-		tr.Emit(trace.Record{Kind: trace.KindCRIUMW, VM: int32(c.Proc.Kernel().VCPU.ID),
-			TS: start, Cost: now - start, Arg: int64(n)})
-	}
-	ev.Observe(trace.KindCRIUMW, now, now-start, int64(n))
+	c.Proc.Kernel().VCPU.Event(trace.KindCRIUMW, start, c.clock.Nanos()-start, 0, int64(n))
 	return nil
 }
 

@@ -78,7 +78,7 @@ var degWorkloads = []struct {
 // image must be oracle-exact, and any abort must leave the source guest
 // runnable with dirty logging disarmed.
 func runDegradationCell(mix TransportFaultMix, tech costmodel.Technique, writes int,
-	seed uint64, cellIdx int, p probes) (degCell, error) {
+	seed uint64, cellIdx int, cfg machine.Config) (degCell, error) {
 
 	load := "quiet"
 	if writes > degQuietWrites {
@@ -93,8 +93,8 @@ func runDegradationCell(mix TransportFaultMix, tech costmodel.Technique, writes 
 	if err != nil {
 		return fail(err)
 	}
-	inj := faults.New(parsed, seed^0xDE67AD^uint64(cellIdx)*0x9E37)
-	m, err := machine.New(machine.Config{Faults: inj, Tracer: p.tr, Metrics: p.reg, Profiler: p.prof, Monitor: p.mon})
+	cfg.Faults = faults.New(parsed, seed^0xDE67AD^uint64(cellIdx)*0x9E37)
+	m, err := machine.New(cfg)
 	if err != nil {
 		return fail(err)
 	}

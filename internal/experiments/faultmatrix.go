@@ -70,14 +70,15 @@ type faultCell struct {
 // runFaultCell drives the Resilient tracker under one fault spec and checks
 // every epoch's report against an independent write-set oracle, both
 // directions (nothing missing, nothing extra).
-func runFaultCell(c CannedFaultSpec, seed uint64, p probes) (faultCell, error) {
+func runFaultCell(c CannedFaultSpec, seed uint64, cfg machine.Config) (faultCell, error) {
 	cell := faultCell{name: c.Name, spec: c.Spec, exact: true}
 	parsed, err := faults.ParseSpec(c.Spec)
 	if err != nil {
 		return cell, err
 	}
 	inj := faults.New(parsed, seed^0xFA177)
-	m, err := machine.New(machine.Config{Faults: inj, Tracer: p.tr, Metrics: p.reg, Profiler: p.prof, Monitor: p.mon})
+	cfg.Faults = inj
+	m, err := machine.New(cfg)
 	if err != nil {
 		return cell, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"repro/internal/machine"
 	"strings"
 	"testing"
 
@@ -55,7 +56,7 @@ func TestFaultMatrixCellsNotVacuous(t *testing.T) {
 	for _, c := range CannedFaultSpecs {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
-			cell, err := runFaultCell(c, 42, probes{})
+			cell, err := runFaultCell(c, 42, machine.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}

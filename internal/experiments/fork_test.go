@@ -16,8 +16,8 @@ import (
 )
 
 // microEnter hands a micro cell its warmed guest, workload process and
-// bound parser with p's probes attached.
-type microEnter func(p probes) (*machine.Guest, *guestos.Process, *workloads.ArrayParser, error)
+// bound parser with cfg's planes attached.
+type microEnter func(cfg machine.Config) (*machine.Guest, *guestos.Process, *workloads.ArrayParser, error)
 
 // microObserved is everything one micro cell leaves behind: the cell, the
 // tracked vCPU's final counters, and the trace and metrics exports.
@@ -32,7 +32,7 @@ type microObserved struct {
 // then the probed tracked run - on machines from enter.
 func observeMicro(t *testing.T, kind costmodel.Technique, enter microEnter) microObserved {
 	t.Helper()
-	g, _, w, err := enter(probes{})
+	g, _, w, err := enter(machine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func observeMicro(t *testing.T, kind costmodel.Technique, enter microEnter) micr
 	tr := trace.New(trace.NewJSONLWriter(&traceBuf), 0)
 	reg := metrics.NewRegistry()
 	reg.NewSampler(250 * time.Microsecond)
-	g, proc, w, err := enter(probes{tr: tr, reg: reg})
+	g, proc, w, err := enter(machine.Config{Tracer: tr, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func observeMicro(t *testing.T, kind costmodel.Technique, enter microEnter) micr
 // way hostbench's micro-track replays the micro grid.
 func forkEnter(t *testing.T, pages int, seed uint64) microEnter {
 	t.Helper()
-	src, proc, w, err := warmMicro(pages, seed, probes{})
+	src, proc, w, err := warmMicro(pages, seed, machine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +78,8 @@ func forkEnter(t *testing.T, pages int, seed uint64) microEnter {
 		t.Fatal(err)
 	}
 	pid, region := proc.Pid, w.Region()
-	return func(p probes) (*machine.Guest, *guestos.Process, *workloads.ArrayParser, error) {
-		m, err := snap.Fork(p.config())
+	return func(cfg machine.Config) (*machine.Guest, *guestos.Process, *workloads.ArrayParser, error) {
+		m, err := snap.Fork(cfg)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -97,8 +97,8 @@ func forkEnter(t *testing.T, pages int, seed uint64) microEnter {
 // coldEnter enters every cell through its own boot and warm-up, as
 // runMicro does.
 func coldEnter(pages int, seed uint64) microEnter {
-	return func(p probes) (*machine.Guest, *guestos.Process, *workloads.ArrayParser, error) {
-		m, proc, w, err := warmMicro(pages, seed, p)
+	return func(cfg machine.Config) (*machine.Guest, *guestos.Process, *workloads.ArrayParser, error) {
+		m, proc, w, err := warmMicro(pages, seed, cfg)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -113,7 +113,7 @@ func checkForkMatchesCold(t *testing.T, kind costmodel.Technique, pages int, see
 	t.Helper()
 	cold := observeMicro(t, kind, coldEnter(pages, seed))
 	forked := observeMicro(t, kind, fork)
-	if want, err := runMicro(kind, pages, seed, probes{}); err != nil {
+	if want, err := runMicro(kind, pages, seed, machine.Config{}); err != nil {
 		t.Fatal(err)
 	} else if cold.res != want {
 		t.Errorf("%v/%d pages: cold cell diverges from runMicro:\ncold:     %+v\nrunMicro: %+v", kind, pages, cold.res, want)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"repro/internal/machine"
 	"testing"
 	"time"
 
@@ -13,27 +14,27 @@ import (
 
 // runObservedScenarios drives a representative mix of scenarios - micro
 // under all four techniques, a CRIU checkpoint, a Boehm GC run and a
-// faulted resilient run - with the given probes attached, touching every
+// faulted resilient run - with cfg's planes attached, touching every
 // instrumented layer.
-func runObservedScenarios(t *testing.T, p probes) {
+func runObservedScenarios(t *testing.T, cfg machine.Config) {
 	t.Helper()
 	for _, kind := range []costmodel.Technique{
 		costmodel.Proc, costmodel.Ufd, costmodel.SPML, costmodel.EPML,
 	} {
-		if _, err := runMicro(kind, 4<<8, 1, p); err != nil {
+		if _, err := runMicro(kind, 4<<8, 1, cfg); err != nil {
 			t.Fatalf("runMicro(%v): %v", kind, err)
 		}
 	}
-	if _, err := runCRIU("baby", workloads.Large, 4, costmodel.EPML, 1, p); err != nil {
+	if _, err := runCRIU("baby", workloads.Large, 4, costmodel.EPML, 1, cfg); err != nil {
 		t.Fatalf("runCRIU: %v", err)
 	}
-	if _, err := runBoehm("gcbench", workloads.Small, 1, costmodel.EPML, 1, p); err != nil {
+	if _, err := runBoehm("gcbench", workloads.Small, 1, costmodel.EPML, 1, cfg); err != nil {
 		t.Fatalf("runBoehm: %v", err)
 	}
 	// A faulted run exercises the faults/tracking retry/degrade/rescan kinds.
 	for _, spec := range CannedFaultSpecs {
 		if spec.Name == "hc-flaky" || spec.Name == "legacy-host" {
-			if _, err := runFaultCell(spec, 7, p); err != nil {
+			if _, err := runFaultCell(spec, 7, cfg); err != nil {
 				t.Fatalf("runFaultCell(%s): %v", spec.Name, err)
 			}
 		}
@@ -48,7 +49,7 @@ func TestMetricsTraceConsistency(t *testing.T) {
 	var sink trace.Memory
 	tr := trace.New(&sink, 1<<16) // full mask: every kind traced
 	reg := metrics.NewRegistry()
-	runObservedScenarios(t, probes{tr: tr, reg: reg})
+	runObservedScenarios(t, machine.Config{Tracer: tr, Metrics: reg})
 	if err := tr.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
@@ -113,10 +114,10 @@ func TestMetricsDeterminism(t *testing.T) {
 	export := func() (string, string) {
 		reg := metrics.NewRegistry()
 		reg.NewSampler(250 * time.Microsecond)
-		if _, err := runMicro(costmodel.EPML, 10<<8, 3, probes{reg: reg}); err != nil {
+		if _, err := runMicro(costmodel.EPML, 10<<8, 3, machine.Config{Metrics: reg}); err != nil {
 			t.Fatalf("runMicro: %v", err)
 		}
-		if _, err := runMicro(costmodel.SPML, 4<<8, 3, probes{reg: reg}); err != nil {
+		if _, err := runMicro(costmodel.SPML, 4<<8, 3, machine.Config{Metrics: reg}); err != nil {
 			t.Fatalf("runMicro: %v", err)
 		}
 		snap := reg.Snapshot()
@@ -144,7 +145,7 @@ func TestMetricsDeterminism(t *testing.T) {
 	snapHasPoints := false
 	reg := metrics.NewRegistry()
 	reg.NewSampler(250 * time.Microsecond)
-	if _, err := runMicro(costmodel.EPML, 10<<8, 3, probes{reg: reg}); err != nil {
+	if _, err := runMicro(costmodel.EPML, 10<<8, 3, machine.Config{Metrics: reg}); err != nil {
 		t.Fatalf("runMicro: %v", err)
 	}
 	for _, s := range reg.Snapshot().Series {

@@ -88,11 +88,11 @@ func TestEveryMappedKindEmits(t *testing.T) {
 	tr := trace.New(&sink, 1<<16)
 	reg := metrics.NewRegistry()
 	mon := monitor.New(monitor.Config{Rules: rules})
-	p := probes{tr: tr, reg: reg, mon: mon}
+	cfg := machine.Config{Tracer: tr, Metrics: reg, Monitor: mon}
 
 	// The shared scenario mix covers the tracking techniques, CRIU, GC and
 	// the fault/recovery kinds ...
-	runObservedScenarios(t, p)
+	runObservedScenarios(t, cfg)
 	// ... two faulted storm migration cells cover the transport recovery
 	// kinds (retry, nack, resume, abort) plus the monitor's round feed ...
 	for _, name := range []string{"flaky-wire", "hostile"} {
@@ -100,7 +100,7 @@ func TestEveryMappedKindEmits(t *testing.T) {
 		if !ok {
 			t.Fatalf("no %s transport mix registered", name)
 		}
-		if _, err := runDegradationCell(mix, costmodel.EPML, degStormWrites, 3, 0, p); err != nil {
+		if _, err := runDegradationCell(mix, costmodel.EPML, degStormWrites, 3, 0, cfg); err != nil {
 			t.Fatalf("runDegradationCell(%s): %v", name, err)
 		}
 	}

@@ -71,25 +71,6 @@ type Options struct {
 	Monitor *monitor.Monitor
 }
 
-// probes bundles the observation-plane attachments (tracer + metrics
-// registry + profiler + monitor) threaded into a scenario's monitored
-// machine.
-type probes struct {
-	tr   *trace.Tracer
-	reg  *metrics.Registry
-	prof *prof.Profiler
-	mon  *monitor.Monitor
-}
-
-func (o Options) probes() probes {
-	return probes{tr: o.Tracer, reg: o.Metrics, prof: o.Profiler, mon: o.Monitor}
-}
-
-// config is the machine.Config that attaches p's planes.
-func (p probes) config() machine.Config {
-	return machine.Config{Tracer: p.tr, Metrics: p.reg, Profiler: p.prof, Monitor: p.mon}
-}
-
 // DefaultSeed is the seed used when none was chosen (Seed == 0 and
 // !SeedSet).
 const DefaultSeed uint64 = 42
@@ -164,12 +145,12 @@ func (r MicroResult) Slowdown() float64 {
 const microPasses = 3
 
 // runMicro executes the Listing-1 scenario under one technique and returns
-// the measured times and raw event counts. p's probes (any may be nil)
-// observe the monitored run only.
-func runMicro(kind costmodel.Technique, pages int, seed uint64, p probes) (MicroResult, error) {
+// the measured times and raw event counts. cfg's observability planes (any
+// may be nil) observe the monitored run only.
+func runMicro(kind costmodel.Technique, pages int, seed uint64, cfg machine.Config) (MicroResult, error) {
 	res := MicroResult{Technique: kind, Pages: pages}
 	// Ideal run: same warm-up, no tracking, no probes.
-	m, _, w, err := warmMicro(pages, seed, probes{})
+	m, _, w, err := warmMicro(pages, seed, machine.Config{})
 	if err != nil {
 		return res, err
 	}
@@ -177,7 +158,7 @@ func runMicro(kind costmodel.Technique, pages int, seed uint64, p probes) (Micro
 	if err != nil {
 		return res, err
 	}
-	m, proc, w, err := warmMicro(pages, seed, p)
+	m, proc, w, err := warmMicro(pages, seed, cfg)
 	if err != nil {
 		return res, err
 	}
@@ -185,9 +166,9 @@ func runMicro(kind costmodel.Technique, pages int, seed uint64, p probes) (Micro
 }
 
 // warmMicro boots a machine and runs the Listing-1 warm-up: spawn the
-// workload process, eagerly map and touch its array. p's probes attach
+// workload process, eagerly map and touch its array. cfg's planes attach
 // after the warm-up, so it is never observed.
-func warmMicro(pages int, seed uint64, p probes) (*machine.Machine, *guestos.Process, *workloads.ArrayParser, error) {
+func warmMicro(pages int, seed uint64, cfg machine.Config) (*machine.Machine, *guestos.Process, *workloads.ArrayParser, error) {
 	m, err := machine.New(machine.Config{})
 	if err != nil {
 		return nil, nil, nil, err
@@ -197,7 +178,7 @@ func warmMicro(pages int, seed uint64, p probes) (*machine.Machine, *guestos.Pro
 	if err := w.Setup(workloads.NewRegionAlloc(proc, true), sim.NewRNG(seed)); err != nil {
 		return nil, nil, nil, err
 	}
-	m.AttachProbes(p.config())
+	m.AttachProbes(cfg)
 	return m, proc, w, nil
 }
 
@@ -296,9 +277,9 @@ func (r CRIUResult) TrackedOverheadPct() float64 {
 const criuRuns = 3
 
 // runCRIU checkpoints a workload under one technique, verifying the
-// restored image, and measures the impact on the workload. p's probes
-// (either may be nil) observe the monitored run only.
-func runCRIU(name string, size workloads.Size, scale int, kind costmodel.Technique, seed uint64, p probes) (CRIUResult, error) {
+// restored image, and measures the impact on the workload. cfg's planes
+// (any may be nil) observe the monitored run only.
+func runCRIU(name string, size workloads.Size, scale int, kind costmodel.Technique, seed uint64, cfg machine.Config) (CRIUResult, error) {
 	res := CRIUResult{Workload: name, Technique: kind}
 
 	// Ideal: the workload's passes without checkpointing.
@@ -326,7 +307,7 @@ func runCRIU(name string, size workloads.Size, scale int, kind costmodel.Techniq
 	}
 
 	// Monitored: same passes with a pre-copy checkpoint interleaved.
-	m, err := machine.New(p.config())
+	m, err := machine.New(cfg)
 	if err != nil {
 		return res, err
 	}
@@ -406,10 +387,10 @@ const boehmPasses = 4
 
 // runBoehm executes an application with Boehm GC using one technique for
 // its incremental cycles. kind == Oracle means "untracked" (full traces,
-// no dirty technique), the paper's baseline. p's probes (either may be
-// nil) observe the run.
-func runBoehm(app string, size workloads.Size, scale int, kind costmodel.Technique, seed uint64, p probes) (BoehmResult, error) {
-	m, err := machine.New(p.config())
+// no dirty technique), the paper's baseline. cfg's planes (any may be nil)
+// observe the run.
+func runBoehm(app string, size workloads.Size, scale int, kind costmodel.Technique, seed uint64, cfg machine.Config) (BoehmResult, error) {
+	m, err := machine.New(cfg)
 	if err != nil {
 		return BoehmResult{App: app, Size: size, Technique: kind}, err
 	}

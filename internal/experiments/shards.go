@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/monitor"
 	"repro/internal/prof"
@@ -9,7 +10,7 @@ import (
 
 // probeShards fans the observation plane out over a parallel experiment
 // grid: one tracer shard and one metrics registry per grid cell, handed to
-// the cell's worker goroutine, then folded into the destination probes
+// the cell's worker goroutine, then folded into the destination planes
 // after the par.ForEach barrier.
 //
 // Sharding is per cell, not per worker slot, on purpose: par.ForEach hands
@@ -19,86 +20,88 @@ import (
 // stream and snapshot are byte-identical at any worker count - Workers=8
 // observes exactly what Workers=1 does.
 type probeShards struct {
-	dst    probes
+	dst    machine.Config
 	shards []*trace.Shard
 	regs   []*metrics.Registry
 	profs  []*prof.Profiler
 	mons   []*monitor.Monitor
 }
 
-// newShards builds per-cell probes for an n-cell grid. Disabled planes
+// newShards builds per-cell planes for an n-cell grid. Disabled planes
 // stay disabled: a nil destination tracer/registry yields nil per-cell
-// probes, so unobserved sweeps pay nothing.
+// planes, so unobserved sweeps pay nothing.
 func (o Options) newShards(n int) *probeShards {
-	ps := &probeShards{dst: o.probes()}
-	if ps.dst.tr != nil {
+	ps := &probeShards{dst: machine.Config{
+		Tracer: o.Tracer, Metrics: o.Metrics, Profiler: o.Profiler, Monitor: o.Monitor,
+	}}
+	if ps.dst.Tracer != nil {
 		ps.shards = make([]*trace.Shard, n)
 		for i := range ps.shards {
-			ps.shards[i] = trace.NewShard(i, ps.dst.tr.Mask())
+			ps.shards[i] = trace.NewShard(i, ps.dst.Tracer.Mask())
 		}
 	}
-	if ps.dst.reg != nil {
+	if ps.dst.Metrics != nil {
 		ps.regs = make([]*metrics.Registry, n)
 		for i := range ps.regs {
 			ps.regs[i] = metrics.NewRegistry()
-			if s := ps.dst.reg.Sampler(); s != nil {
+			if s := ps.dst.Metrics.Sampler(); s != nil {
 				ps.regs[i].NewSampler(s.Interval())
 			}
 		}
 	}
-	if ps.dst.prof != nil {
+	if ps.dst.Profiler != nil {
 		ps.profs = make([]*prof.Profiler, n)
 		for i := range ps.profs {
 			ps.profs[i] = prof.New()
 		}
 	}
-	if ps.dst.mon != nil {
+	if ps.dst.Monitor != nil {
 		ps.mons = make([]*monitor.Monitor, n)
 		for i := range ps.mons {
-			ps.mons[i] = ps.dst.mon.Fork(i)
+			ps.mons[i] = ps.dst.Monitor.Fork(i)
 		}
 	}
 	return ps
 }
 
-// cell returns grid cell i's probes.
-func (ps *probeShards) cell(i int) probes {
-	var p probes
+// cell returns the machine.Config that attaches grid cell i's planes.
+func (ps *probeShards) cell(i int) machine.Config {
+	var cfg machine.Config
 	if ps.shards != nil {
-		p.tr = ps.shards[i].Tracer
+		cfg.Tracer = ps.shards[i].Tracer
 	}
 	if ps.regs != nil {
-		p.reg = ps.regs[i]
+		cfg.Metrics = ps.regs[i]
 	}
 	if ps.profs != nil {
-		p.prof = ps.profs[i]
+		cfg.Profiler = ps.profs[i]
 	}
 	if ps.mons != nil {
-		p.mon = ps.mons[i]
+		cfg.Monitor = ps.mons[i]
 	}
-	return p
+	return cfg
 }
 
-// merge folds every cell's observations into the destination probes, in
+// merge folds every cell's observations into the destination planes, in
 // grid order. Call it after the fan-out barrier - including on error, so a
 // failed sweep still surfaces what the completed cells observed.
 func (ps *probeShards) merge() {
-	if ps.dst.tr != nil {
-		trace.Merge(ps.dst.tr, ps.shards...)
+	if ps.dst.Tracer != nil {
+		trace.Merge(ps.dst.Tracer, ps.shards...)
 	}
-	if ps.dst.reg != nil {
+	if ps.dst.Metrics != nil {
 		for _, r := range ps.regs {
-			ps.dst.reg.Merge(r)
+			ps.dst.Metrics.Merge(r)
 		}
 	}
-	if ps.dst.prof != nil {
+	if ps.dst.Profiler != nil {
 		for _, p := range ps.profs {
-			ps.dst.prof.Merge(p)
+			ps.dst.Profiler.Merge(p)
 		}
 	}
-	if ps.dst.mon != nil {
+	if ps.dst.Monitor != nil {
 		for _, m := range ps.mons {
-			ps.dst.mon.Merge(m)
+			ps.dst.Monitor.Merge(m)
 		}
 	}
 }

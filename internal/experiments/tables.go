@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/costmodel"
+	"repro/internal/machine"
 	"repro/internal/par"
 	"repro/internal/report"
 	"repro/internal/workloads"
@@ -131,7 +132,7 @@ func Table4(opt Options) (*Result, error) {
 		// The array parser stands in for the baby workload's access
 		// pattern: the counts, not the pattern, feed the formulas, and the
 		// parser gives deterministic counts.
-		mr, err := runMicro(kind, 4096*opt.Scale, opt.Seed, probes{})
+		mr, err := runMicro(kind, 4096*opt.Scale, opt.Seed, machine.Config{})
 		if err != nil {
 			return nil, err
 		}

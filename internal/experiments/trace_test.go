@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"repro/internal/machine"
 	"testing"
 	"time"
 
@@ -15,7 +16,7 @@ import (
 func TestFig3TraceMatchesBreakdown(t *testing.T) {
 	mem := &trace.Memory{}
 	tr := trace.New(mem, 0)
-	res, err := runMicro(costmodel.SPML, 10<<8, 1, probes{tr: tr})
+	res, err := runMicro(costmodel.SPML, 10<<8, 1, machine.Config{Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,12 +54,12 @@ func TestFig3TraceMatchesBreakdown(t *testing.T) {
 // measured virtual time - traced and untraced runs are bit-identical.
 func TestTracingPreservesVirtualTime(t *testing.T) {
 	for _, kind := range []costmodel.Technique{costmodel.Proc, costmodel.SPML, costmodel.EPML} {
-		plain, err := runMicro(kind, 2<<8, 1, probes{})
+		plain, err := runMicro(kind, 2<<8, 1, machine.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		tr := trace.New(trace.Discard{}, 0)
-		traced, err := runMicro(kind, 2<<8, 1, probes{tr: tr})
+		traced, err := runMicro(kind, 2<<8, 1, machine.Config{Tracer: tr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +77,7 @@ func TestTracingPreservesVirtualTime(t *testing.T) {
 func TestTrackPhaseRecords(t *testing.T) {
 	mem := &trace.Memory{}
 	tr := trace.New(mem, 0)
-	res, err := runMicro(costmodel.Proc, 4<<8, 1, probes{tr: tr})
+	res, err := runMicro(costmodel.Proc, 4<<8, 1, machine.Config{Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}

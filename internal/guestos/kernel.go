@@ -172,18 +172,9 @@ func (k *Kernel) DeliverIRQ(vector int) {
 	if !ok {
 		return
 	}
-	tr, ev := k.VCPU.Tracer, k.VCPU.Met
-	var start int64
-	if tr != nil || ev != nil {
-		start = k.Clock.Nanos()
-	}
+	start := k.Clock.Nanos()
 	sp := k.VCPU.Prof.Begin(prof.SubGuestOS, "irq")
 	h()
 	sp.End()
-	now := k.Clock.Nanos()
-	if tr.Enabled(trace.KindIRQ) {
-		tr.Emit(trace.Record{Kind: trace.KindIRQ, VM: int32(k.VCPU.ID),
-			TS: start, Cost: now - start, Arg: int64(vector)})
-	}
-	ev.Observe(trace.KindIRQ, now, now-start, int64(vector))
+	k.VCPU.Event(trace.KindIRQ, start, k.Clock.Nanos()-start, 0, int64(vector))
 }

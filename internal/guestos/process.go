@@ -184,11 +184,7 @@ func (p *Process) handleFault(gva mem.GVA, write bool) error {
 		p.k.VCPU.Counters.Inc(CtrDemandFaults)
 		p.k.Clock.Advance(p.k.Model.DemandFault)
 		cost := int64(p.k.Model.DemandFault)
-		if tr := p.k.VCPU.Tracer; tr.Enabled(trace.KindDemandFault) {
-			tr.Emit(trace.Record{Kind: trace.KindDemandFault, VM: int32(p.k.VCPU.ID),
-				TS: p.k.Clock.Nanos() - cost, Cost: cost, Addr: uint64(gva.PageFloor())})
-		}
-		p.k.VCPU.Met.Observe(trace.KindDemandFault, p.k.Clock.Nanos(), cost, 0)
+		p.k.VCPU.Event(trace.KindDemandFault, p.k.Clock.Nanos()-cost, cost, uint64(gva.PageFloor()), 0)
 		err := p.mapPage(gva)
 		sp.End()
 		return err
@@ -202,11 +198,7 @@ func (p *Process) handleFault(gva mem.GVA, write bool) error {
 		p.k.VCPU.Counters.Inc(CtrSoftDirtyFaults)
 		cost := int64(p.k.Model.PFHKernel.PerPage(p.curveSize()))
 		p.k.Clock.Advance(time.Duration(cost))
-		if tr := p.k.VCPU.Tracer; tr.Enabled(trace.KindSoftDirtyFault) {
-			tr.Emit(trace.Record{Kind: trace.KindSoftDirtyFault, VM: int32(p.k.VCPU.ID),
-				TS: p.k.Clock.Nanos() - cost, Cost: cost, Addr: uint64(gva.PageFloor())})
-		}
-		p.k.VCPU.Met.Observe(trace.KindSoftDirtyFault, p.k.Clock.Nanos(), cost, 0)
+		p.k.VCPU.Event(trace.KindSoftDirtyFault, p.k.Clock.Nanos()-cost, cost, uint64(gva.PageFloor()), 0)
 		err := p.PT.SetFlags(gva, pgtable.FlagWritable|pgtable.FlagSoftDirty)
 		sp.End()
 		return err

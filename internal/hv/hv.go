@@ -95,11 +95,13 @@ type VirtualCPU interface {
 	ID() int
 	Clock() *sim.Clock
 	Counters() *sim.Counters
-	Tracer() *trace.Tracer
 	Injector() *faults.Injector
 	Metrics() *metrics.Events
 	Profiler() *prof.Tap
 	Monitor() *monitor.Monitor
+	// Event reports one event to every attached observability plane
+	// (trace, metrics, monitor); see cpu.VCPU.Event.
+	Event(k trace.Kind, ts, cost int64, addr uint64, arg int64)
 	// FaultRecord emits the trace/metrics record for an injected fault
 	// that fired at this vCPU (no-op when observability is off).
 	FaultRecord(p faults.Point, addr uint64)

@@ -165,13 +165,16 @@ func (v *VCPU) Sim() *cpu.VCPU { return v.sim }
 func (v *VCPU) ID() int                    { return v.sim.ID }
 func (v *VCPU) Clock() *sim.Clock          { return v.sim.Clock }
 func (v *VCPU) Counters() *sim.Counters    { return &v.sim.Counters }
-func (v *VCPU) Tracer() *trace.Tracer      { return v.sim.Tracer }
 func (v *VCPU) Injector() *faults.Injector { return v.sim.Inj }
 func (v *VCPU) Metrics() *metrics.Events   { return v.sim.Met }
 func (v *VCPU) Profiler() *prof.Tap        { return v.sim.Prof }
 func (v *VCPU) Monitor() *monitor.Monitor  { return v.sim.Mon }
 
 func (v *VCPU) FaultRecord(p faults.Point, addr uint64) { v.sim.FaultRecord(p, addr) }
+
+func (v *VCPU) Event(k trace.Kind, ts, cost int64, addr uint64, arg int64) {
+	v.sim.Event(k, ts, cost, addr, arg)
+}
 
 func (v *VCPU) KernelReadGPA(gpa mem.GPA, b []byte) error  { return v.sim.KernelReadGPA(gpa, b) }
 func (v *VCPU) KernelWriteGPA(gpa mem.GPA, b []byte) error { return v.sim.KernelWriteGPA(gpa, b) }

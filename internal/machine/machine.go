@@ -66,9 +66,10 @@ type Config struct {
 	// cost.
 	Profiler *prof.Profiler
 	// Monitor, when non-nil, is the online monitoring plane: it observes
-	// every event the metrics bridge sees (via the bridge's observer hook)
-	// plus the checkpoint/migration round boundaries, maintaining live
-	// dirty-rate estimators, alert rules and the convergence predictor.
+	// every event the vCPUs report (cpu.VCPU.Event feeds it after the
+	// metrics bridge) plus the checkpoint/migration round boundaries,
+	// maintaining live dirty-rate estimators, alert rules and the
+	// convergence predictor.
 	// It needs a registry to publish gauges and evaluate rules against; if
 	// Metrics is nil a private registry is created for it. Like the other
 	// planes it is single-goroutine; parallel sweeps Fork one monitor per
@@ -124,16 +125,7 @@ func New(cfg Config) (*Machine, error) {
 		Model: h.Model(),
 		Hyp:   h,
 	}
-	reg := cfg.Metrics
-	if cfg.Monitor != nil {
-		if reg == nil {
-			// The monitor publishes gauges and evaluates rules against a
-			// registry; give it a private one when the caller didn't ask
-			// for metrics themselves.
-			reg = metrics.NewRegistry()
-		}
-		cfg.Monitor.Attach(cfg.Tracer, reg)
-	}
+	reg := cfg.probeRegistry()
 	for i := 0; i < n; i++ {
 		vm, err := h.CreateVM()
 		if err != nil {
@@ -146,6 +138,22 @@ func New(cfg Config) (*Machine, error) {
 		m.Guests = append(m.Guests, g)
 	}
 	return m, nil
+}
+
+// probeRegistry attaches cfg.Monitor to cfg's tracer and returns the
+// registry every guest's metrics bridge feeds: cfg.Metrics, or a private
+// registry when only the monitor needs one - it publishes gauges and
+// evaluates rules against a registry even when the caller didn't ask for
+// metrics themselves.
+func (cfg Config) probeRegistry() *metrics.Registry {
+	reg := cfg.Metrics
+	if cfg.Monitor != nil {
+		if reg == nil {
+			reg = metrics.NewRegistry()
+		}
+		cfg.Monitor.Attach(cfg.Tracer, reg)
+	}
+	return reg
 }
 
 // newGuest wires the observability planes into a created VM's vCPU and
@@ -170,10 +178,7 @@ func wireGuestProbes(svm *hypervisor.VM, cfg Config, reg *metrics.Registry, i in
 	svm.VCPU.Inj = cfg.Faults
 	svm.VCPU.Met = metrics.NewEvents(reg)
 	svm.VCPU.Prof = cfg.Profiler.Tap(svm.VCPU.Clock)
-	if cfg.Monitor != nil {
-		svm.VCPU.Met.SetObserver(int32(i), cfg.Monitor)
-		svm.VCPU.Mon = cfg.Monitor
-	}
+	svm.VCPU.Mon = cfg.Monitor
 	if i == 0 {
 		// Only the first guest feeds the sampler's default series;
 		// duplicate registrations from later guests would shadow them.
@@ -189,13 +194,7 @@ func wireGuestProbes(svm *hypervisor.VM, cfg Config, reg *metrics.Registry, i in
 // Config. Only the probe fields change; clocks,
 // kernels and memory are untouched.
 func (m *Machine) AttachProbes(cfg Config) {
-	reg := cfg.Metrics
-	if cfg.Monitor != nil {
-		if reg == nil {
-			reg = metrics.NewRegistry()
-		}
-		cfg.Monitor.Attach(cfg.Tracer, reg)
-	}
+	reg := cfg.probeRegistry()
 	for i, g := range m.Guests {
 		wireGuestProbes(g.SimVM(), cfg, reg, i)
 	}

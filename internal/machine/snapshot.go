@@ -7,7 +7,6 @@ import (
 	"repro/internal/guestos"
 	"repro/internal/hv"
 	"repro/internal/mem"
-	"repro/internal/metrics"
 )
 
 // Snapshot is a whole-machine capture: the copy-on-write physical memory
@@ -112,15 +111,7 @@ func (s *Snapshot) Fork(cfg Config) (*Machine, error) {
 		Model: h.Model(),
 		Hyp:   h,
 	}
-	reg := cfg.Metrics
-	if cfg.Monitor != nil {
-		if reg == nil {
-			// Same contract as New: the monitor needs a registry even when
-			// the caller didn't ask for metrics.
-			reg = metrics.NewRegistry()
-		}
-		cfg.Monitor.Attach(cfg.Tracer, reg)
-	}
+	reg := cfg.probeRegistry()
 	for i := range s.guests {
 		vm, err := forker.NewVMFromSnapshot(s.guests[i].vm)
 		if err != nil {

@@ -85,30 +85,19 @@ const (
 	NameVMExitsTotal = "vmexits_total"
 )
 
-// EventObserver receives a copy of every observation a bridge records,
-// tagged with the VM the bridge belongs to. It is the feed for online
-// consumers (internal/monitor's rate estimators) that need the event
-// stream, not just its aggregates, without adding instrumentation sites.
-// Implementations must be deterministic and must never advance the clock.
-type EventObserver interface {
-	ObserveKind(vm int32, k trace.Kind, now, cost, arg int64)
-}
-
-// Events is the hot-path bridge from instrumentation sites to a Registry.
-// It pre-resolves one (counter, cost histogram, arg counter) triple per
-// trace kind so Observe is array indexing plus integer updates - no map
-// lookups, no allocations. A nil *Events is a valid disabled bridge whose
-// methods are single-branch no-ops; sites hold it exactly like a nil
-// *trace.Tracer.
+// Events is the hot-path bridge from instrumentation to a Registry: the
+// per-kind event stream arrives through cpu.VCPU.Event, labeled extras
+// through Count and SetGauge. It pre-resolves one (counter, cost
+// histogram, arg counter) triple per trace kind so Observe is array
+// indexing plus integer updates - no map lookups, no allocations. A nil
+// *Events is a valid disabled bridge whose methods are single-branch
+// no-ops, held exactly like a nil *trace.Tracer.
 type Events struct {
 	reg     *Registry
 	counts  [64]*Counter
 	costs   [64]*Histogram
 	args    [64]*Counter
 	vmexits *Counter // exit-kind records, all reasons pooled
-
-	vm  int32         // VM id stamped onto forwarded observations
-	obs EventObserver // optional online consumer; nil when absent
 }
 
 // NewEvents returns the bridge for r, or nil when r is nil (disabled).
@@ -137,8 +126,9 @@ func (e *Events) Registry() *Registry {
 
 // Observe records one event of kind k: its per-record cost into the kind's
 // histogram, its Arg into the kind's arg counter, and a tick of the
-// virtual-time sampler. Sites call it with the same (kind, cost, arg) they
-// hand to trace.Tracer.Emit, which is what keeps the two planes equal.
+// virtual-time sampler. cpu.VCPU.Event calls it with the same (kind, cost,
+// arg) it hands to trace.Tracer.Emit, which is what keeps the two planes
+// equal.
 func (e *Events) Observe(k trace.Kind, now, cost, arg int64) {
 	if e == nil {
 		return
@@ -153,19 +143,6 @@ func (e *Events) Observe(k trace.Kind, now, cost, arg int64) {
 		e.vmexits.Inc()
 	}
 	e.reg.Tick(now)
-	if e.obs != nil {
-		e.obs.ObserveKind(e.vm, k, now, cost, arg)
-	}
-}
-
-// SetObserver installs an online consumer that is forwarded every
-// observation, tagged with vm. A nil observer detaches. Nil-receiver safe.
-func (e *Events) SetObserver(vm int32, o EventObserver) {
-	if e == nil {
-		return
-	}
-	e.vm = vm
-	e.obs = o
 }
 
 // Count bumps a labeled counter by n - the slow(er) path for metrics that

@@ -3,11 +3,11 @@
 // execute, where internal/trace and internal/metrics only record them for
 // post-hoc analysis.
 //
-// It is fed from the existing planes rather than from new instrumentation:
-// every event the per-vCPU metrics.Events bridge observes is forwarded to
-// the monitor (the bridge's EventObserver hook), and the checkpoint and
-// migration drivers feed their pre-copy round boundaries directly. From
-// those two streams the monitor maintains:
+// It is fed from the existing instrumentation rather than from sites of its
+// own: cpu.VCPU.Event, the one call every layer reports an event through,
+// hands each event to the monitor after the trace and metrics planes, and
+// the checkpoint and migration drivers feed their pre-copy round
+// boundaries directly. From those two streams the monitor maintains:
 //
 //   - online dirty-page-rate estimators (windowed and EWMA), per VM and
 //     per source mechanism (PML log, EPML log, soft-dirty, ufd) plus per
@@ -222,10 +222,11 @@ func (m *Monitor) Attach(tr *trace.Tracer, reg *metrics.Registry) {
 	}
 }
 
-// ObserveKind implements metrics.EventObserver: the per-vCPU Events
-// bridge forwards every observation here, which is how the estimators see
-// PML/EPML log appends, soft-dirty and ufd faults, and per-technique
-// collection results without any new instrumentation sites.
+// ObserveKind receives one event of kind k on VM vm: cpu.VCPU.Event calls
+// it for every event it reports, which is how the estimators see PML/EPML
+// log appends, soft-dirty and ufd faults, and per-technique collection
+// results without any instrumentation sites of their own. It never
+// advances the clock.
 func (m *Monitor) ObserveKind(vm int32, k trace.Kind, now, cost, arg int64) {
 	if m == nil {
 		return

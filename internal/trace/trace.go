@@ -12,9 +12,10 @@
 //
 //   - Zero allocation on the hot path: Emit copies the fixed-size Record
 //     into a preallocated ring and only hands full batches to the sink.
-//   - Disabled tracing costs one branch: every instrumentation site guards
-//     with Enabled(kind), which is nil-receiver safe, so an untraced
-//     simulation pays a nil check and nothing else.
+//   - Disabled tracing costs one branch: every instrumentation site reports
+//     through cpu.VCPU.Event, which guards Emit with Enabled(kind); Enabled
+//     is nil-receiver safe, so an untraced simulation pays a nil check and
+//     nothing else.
 //   - Deterministic: records carry only virtual timestamps; attaching or
 //     detaching a tracer never advances the clock, so traced and untraced
 //     runs produce bit-identical virtual times.
@@ -253,9 +254,9 @@ func (t *Tracer) Disable(kinds ...Kind) {
 }
 
 // Enabled reports whether kind k is traced. It is nil-receiver safe, so
-// instrumentation sites need no separate nil check:
+// callers (cpu.VCPU.Event) need no separate nil check:
 //
-//	if tr := v.Tracer; tr.Enabled(trace.KindHypercall) { tr.Emit(...) }
+//	if tr.Enabled(k) { tr.Emit(...) }
 func (t *Tracer) Enabled(k Kind) bool {
 	return t != nil && t.mask&(1<<uint(k)) != 0
 }

@@ -193,13 +193,8 @@ func (r *Resilient) acquire() error {
 		lastErr = err
 		if i+1 < len(r.ladder) {
 			r.rec.Degradations++
-			now := r.w.clock.Nanos()
 			arg := int64(kind)<<8 | int64(r.ladder[i+1])
-			if tr := r.w.vcpu.Tracer; tr.Enabled(trace.KindTrackDegrade) {
-				tr.Emit(trace.Record{Kind: trace.KindTrackDegrade, VM: int32(r.w.vcpu.ID),
-					TS: now, Arg: arg})
-			}
-			r.w.vcpu.Met.Observe(trace.KindTrackDegrade, now, 0, arg)
+			r.w.vcpu.Event(trace.KindTrackDegrade, r.w.clock.Nanos(), 0, 0, arg)
 		}
 	}
 	return fmt.Errorf("tracking: every ladder rung failed: %w", lastErr)
@@ -217,11 +212,7 @@ func (r *Resilient) withRetry(op func() error) error {
 		}
 		r.rec.Retries++
 		r.rec.BackoffTime += backoff
-		if tr := r.w.vcpu.Tracer; tr.Enabled(trace.KindTrackRetry) {
-			tr.Emit(trace.Record{Kind: trace.KindTrackRetry, VM: int32(r.w.vcpu.ID),
-				TS: r.w.clock.Nanos(), Cost: int64(backoff), Arg: int64(attempt)})
-		}
-		r.w.vcpu.Met.Observe(trace.KindTrackRetry, r.w.clock.Nanos(), int64(backoff), int64(attempt))
+		r.w.vcpu.Event(trace.KindTrackRetry, r.w.clock.Nanos(), int64(backoff), 0, int64(attempt))
 		sp := r.w.tap().Begin(prof.SubTracking, "retry")
 		r.w.clock.Advance(backoff)
 		sp.End()
@@ -301,11 +292,7 @@ func (r *Resilient) Collect() ([]mem.GVA, error) {
 // the epoch's true write set (clear_refs ran at the epoch's start), so the
 // intersection recovers exactly the missing pages.
 func (r *Resilient) rescan(missing []mem.GVA, out *[]mem.GVA) (int, error) {
-	var start int64
-	tr, ev := r.w.vcpu.Tracer, r.w.vcpu.Met
-	if tr != nil || ev != nil {
-		start = r.w.clock.Nanos()
-	}
+	start := r.w.clock.Nanos()
 	sp := r.w.tap().Begin(prof.SubTracking, "rescan")
 	defer sp.End()
 	sd, err := r.k.SoftDirtyPages(r.proc.Pid)
@@ -329,15 +316,8 @@ func (r *Resilient) rescan(missing []mem.GVA, out *[]mem.GVA) (int, error) {
 			_ = r.proc.PT.ClearFlags(gva.PageFloor(), pgtable.FlagDirty)
 		}
 	}
-	now := r.w.clock.Nanos()
-	if tr.Enabled(trace.KindTrackRescan) {
-		tr.Emit(trace.Record{Kind: trace.KindTrackRescan, VM: int32(r.w.vcpu.ID),
-			TS: start, Cost: now - start, Arg: int64(recovered)})
-	}
-	if ev != nil {
-		ev.Observe(trace.KindTrackRescan, now, now-start, int64(recovered))
-		ev.Count(metrics.SubTracking, "repaired_pages", "", int64(recovered))
-	}
+	r.w.vcpu.Event(trace.KindTrackRescan, start, r.w.clock.Nanos()-start, 0, int64(recovered))
+	r.w.vcpu.Met.Count(metrics.SubTracking, "repaired_pages", "", int64(recovered))
 	return recovered, nil
 }
 

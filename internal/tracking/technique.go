@@ -15,7 +15,6 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/cpu"
 	"repro/internal/mem"
-	"repro/internal/metrics"
 	"repro/internal/prof"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -66,7 +65,7 @@ type Technique interface {
 	Stats() Stats
 }
 
-// watch is a tiny helper binding a clock (and the vCPU's tracer) to phase
+// watch is a tiny helper binding a clock (and the vCPU's planes) to phase
 // accounting.
 type watch struct {
 	clock *sim.Clock
@@ -85,34 +84,21 @@ func (w watch) measure(dst *time.Duration, fn func() error) error {
 // record's Arg; nil means the technique's cost-model id.
 func (w watch) phase(dst *time.Duration, kind trace.Kind, tech costmodel.Technique,
 	arg func() int64, fn func() error) error {
-	var tr *trace.Tracer
-	var ev *metrics.Events
-	if w.vcpu != nil {
-		tr, ev = w.vcpu.Tracer, w.vcpu.Met
-	}
-	var start int64
-	if tr != nil || ev != nil {
-		start = w.clock.Nanos()
-	}
+	start := w.clock.Nanos()
 	sp := w.tap().Begin(prof.SubTracking, phaseOp(kind))
 	defer sp.End()
-	err := w.measure(dst, fn)
-	if err == nil && kind == trace.KindTrackCollect && arg != nil {
-		pagesReported.Add(arg())
+	if err := w.measure(dst, fn); err != nil {
+		return err
 	}
-	if err == nil && (tr != nil || ev != nil) {
-		a := int64(tech)
-		if arg != nil {
-			a = arg()
+	a := int64(tech)
+	if arg != nil {
+		a = arg()
+		if kind == trace.KindTrackCollect {
+			pagesReported.Add(a)
 		}
-		now := w.clock.Nanos()
-		if tr.Enabled(kind) {
-			tr.Emit(trace.Record{Kind: kind, VM: int32(w.vcpu.ID), TS: start,
-				Cost: now - start, Arg: a})
-		}
-		ev.Observe(kind, now, now-start, a)
 	}
-	return err
+	w.vcpu.Event(kind, start, w.clock.Nanos()-start, 0, a)
+	return nil
 }
 
 // tap returns the profiler tap, nil when the watch has no vCPU bound.

@@ -59,11 +59,7 @@ func (t *UfdTechnique) Init() error {
 // The userspace handling cost (M6 per fault) is both the tracked thread's
 // suspension and the tracker's own work; it accrues to CollectTime.
 func (t *UfdTechnique) handle(ev guestos.UfdEvent) error {
-	tr, evm := t.k.VCPU.Tracer, t.k.VCPU.Met
-	var start int64
-	if tr != nil || evm != nil {
-		start = t.k.Clock.Nanos()
-	}
+	start := t.k.Clock.Nanos()
 	err := t.w.measure(&t.stats.CollectTime, func() error {
 		t.k.Clock.Advance(t.k.Model.PFHUser.PerPage(ev.Proc.ReservedBytes()))
 		page := ev.GVA.PageFloor()
@@ -81,12 +77,7 @@ func (t *UfdTechnique) handle(ev guestos.UfdEvent) error {
 		if ev.Missing {
 			arg = 1
 		}
-		now := t.k.Clock.Nanos()
-		if tr.Enabled(trace.KindUfdFault) {
-			tr.Emit(trace.Record{Kind: trace.KindUfdFault, VM: int32(t.k.VCPU.ID), TS: start,
-				Cost: now - start, Addr: uint64(ev.GVA.PageFloor()), Arg: arg})
-		}
-		evm.Observe(trace.KindUfdFault, now, now-start, arg)
+		t.k.VCPU.Event(trace.KindUfdFault, start, t.k.Clock.Nanos()-start, uint64(ev.GVA.PageFloor()), arg)
 	}
 	return err
 }
